@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 from repro.storage.service import SimulatedOOM, StorageService
 
@@ -45,10 +45,11 @@ def run_subtask(
 ) -> tuple[dict[str, Any], dict[str, int], int]:
     """Execute one subtask purely: input payloads in, output payloads out.
 
-    Shippable to a Spark task (cloudpickle serialises the chunk ops).
-    Intra-subtask intermediates live in the local ``values`` dict and
-    are freed as soon as their last intra-subtask consumer ran — both
-    for real memory and for the meter.
+    Shippable to a Spark task: ``spec`` holds only the member chunks'
+    ops and input keys, and every input arrives in ``inputs`` keyed by
+    chunk key. Intra-subtask intermediates live in the local ``values``
+    dict and are freed as soon as their last intra-subtask consumer ran
+    — both for real memory and for the meter.
 
     Returns ``(outputs, out_sizes, peak_working)``:
 
@@ -65,8 +66,8 @@ def run_subtask(
     # intra-subtask consumer counts drive freeing
     consumers: dict[str, int] = {}
     for chunk in spec.chunks:
-        for i in chunk.inputs:
-            consumers[i.key] = consumers.get(i.key, 0) + 1
+        for k in chunk.input_keys:
+            consumers[k] = consumers.get(k, 0) + 1
 
     values = dict(inputs)
     sizes: dict[str, int] = {}
@@ -83,11 +84,11 @@ def run_subtask(
     peak = live_total
 
     for chunk in spec.chunks:
-        ins = [values[i.key] for i in chunk.inputs]
+        ins = [values[k] for k in chunk.input_keys]
         reducer = getattr(chunk.op, "reducer", None)
         bucket_bytes = 0
         if reducer is not None:
-            for inp, payload in zip(chunk.inputs, ins):
+            for payload in ins:
                 if isinstance(payload, dict):
                     blk = payload.get(reducer)
                     if blk is not None:
@@ -103,27 +104,48 @@ def run_subtask(
         live_total += nbytes
         peak = max(peak, live_total + bucket_bytes)
         # free inputs whose last consumer just ran
-        for i in chunk.inputs:
-            consumers[i.key] -= 1
-            if consumers[i.key] == 0 and i.key not in store_keys:
-                live_total -= live.pop(i.key, 0)
-                if i.key not in bucket_inputs and i.key in values:
+        for k in chunk.input_keys:
+            consumers[k] -= 1
+            if consumers[k] == 0 and k not in store_keys:
+                live_total -= live.pop(k, 0)
+                if k not in bucket_inputs and k in values:
                     # keep external payloads intact for the driver; only
                     # intra-subtask intermediates are truly dropped
-                    if i.key in sizes:
-                        del values[i.key]
+                    if k in sizes:
+                        del values[k]
 
     outputs = {k: values[k] for k in spec.store_keys}
     out_sizes = {k: sizes[k] for k in spec.store_keys}
     return outputs, out_sizes, peak
 
 
+class TaskChunk(NamedTuple):
+    """One member chunk as a worker sees it: the fields an op's
+    ``execute_chunk`` may read, with its inputs named by key. Unlike a
+    :class:`ChunkNode` it holds no upstream nodes, so pickling it never
+    reaches back into the chunk graph."""
+
+    key: str
+    op: Any
+    index: tuple
+    meta: ChunkMeta
+    out_slot: int
+    input_keys: tuple
+
+
 class SubtaskSpec:
-    """The picklable part of a subtask the workers need."""
+    """What a worker needs to run one subtask, and nothing more: the
+    member chunks as :class:`TaskChunk`s (ops plus input keys), the keys
+    of its external inputs and of the outputs to store. Source chunks
+    fused into the subtask still carry their data in their op."""
 
     def __init__(self, subtask: Subtask, store_keys: list[str]) -> None:
         self.key = subtask.key
-        self.chunks = subtask.chunks
+        self.chunks = [
+            TaskChunk(c.key, c.op, c.index, c.meta, c.out_slot,
+                      tuple(i.key for i in c.inputs))
+            for c in subtask.chunks
+        ]
         self.input_keys = subtask.input_keys
         self.store_keys = store_keys
         self.band = subtask.band

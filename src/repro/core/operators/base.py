@@ -15,6 +15,7 @@ Every Xorbits API is internally an operator implementing three methods:
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Any, Generator, Iterable, Optional, Sequence
 
 from ..chunk import ChunkMeta, ChunkNode, new_key
@@ -77,20 +78,34 @@ class Operator:
     #: chunk-level elementwise ops eligible for operator-level fusion
     elementwise = False
 
+    #: weak references to this op's output tileables. A tileable owns
+    #: its op, not the reverse: a strong back-edge would form a cycle
+    #: that keeps every finished query's graph alive until a full GC,
+    #: and would drag the tileable graph into every pickled chunk op.
+    _output_refs: tuple = ()
+
     # -- tileable level -------------------------------------------------
     def new_tileable(self, inputs: Sequence[Tileable], **tileable_kw) -> Tileable:
         assert self.output_count == 1
-        self.outputs = [Tileable(self, inputs, 0, **tileable_kw)]
-        return self.outputs[0]
+        return self.new_tileables(inputs, [tileable_kw])[0]
 
     def new_tileables(
         self, inputs: Sequence[Tileable], kws: Sequence[dict]
     ) -> list[Tileable]:
         assert len(kws) == self.output_count
-        self.outputs = [
-            Tileable(self, inputs, slot, **kw) for slot, kw in enumerate(kws)
-        ]
-        return list(self.outputs)
+        outs = [Tileable(self, inputs, slot, **kw) for slot, kw in enumerate(kws)]
+        self._output_refs = tuple(weakref.ref(t) for t in outs)
+        return outs
+
+    @property
+    def outputs(self) -> list[Tileable]:
+        """The output tileables still referenced from somewhere."""
+        return [t for t in (r() for r in self._output_refs) if t is not None]
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_output_refs", None)
+        return state
 
     # -- chunk level ----------------------------------------------------
     def tile(
@@ -146,24 +161,35 @@ def build_tileable_dag(targets: Iterable[Tileable]) -> DAG[Tileable]:
 
 class TileContext:
     """Everything an operator's ``tile`` needs: config, the meta service,
-    the already-tiled input chunks, and tiling statistics."""
+    the current op's already-tiled input tileables, probe payloads from
+    the storage service, and tiling statistics."""
 
     def __init__(
         self,
         cfg: EngineConfig,
         meta: MetaService,
         stats: Optional[TileStats] = None,
+        storage: Any = None,
     ) -> None:
         self.cfg = cfg
         self.meta = meta
         self.stats = stats or TileStats()
-        self.op: Optional[Operator] = None  # set by the tiler per op
+        self.storage = storage
+        self.inputs: list[Tileable] = []  # set by run_tile per op
 
     def input_chunks(self, slot: int = 0) -> list[ChunkNode]:
         """Chunks of the current op's ``slot``-th input tileable."""
-        t = self.op.outputs[0].inputs[slot]
+        t = self.inputs[slot]
         assert t.chunks is not None, f"input {t} not yet tiled"
         return t.chunks
+
+    def probe_payload(self, key: str) -> Any:
+        """Payload of an executed chunk (dynamic operators inspect actual
+        data, e.g. join-key frequencies for skew detection), or ``None``
+        when it is not stored."""
+        if self.storage is None or not self.storage.has(key):
+            return None
+        return self.storage.get(key)
 
     # -- metadata helpers used by dynamic operators ---------------------
     def known(self, chunks: Iterable[ChunkNode]) -> bool:
@@ -180,15 +206,16 @@ class TileContext:
             self.meta.update_chunk(c)
 
 
-def run_tile(op: Operator, ctx: TileContext, execute_cb) -> list[list[ChunkNode]]:
-    """Drive one operator's ``tile``, servicing its yields.
+def run_tile(t: Tileable, ctx: TileContext, execute_cb) -> list[list[ChunkNode]]:
+    """Drive the ``tile`` of ``t``'s operator, servicing its yields.
 
     ``execute_cb(chunks)`` must execute the chunks (and any unexecuted
     ancestors) and record their metadata in the meta service. This is
     the switch between graph construction and graph execution that the
     paper's Fig. 5a depicts.
     """
-    ctx.op = op
+    op = t.op
+    ctx.inputs = t.inputs
     result = op.tile(ctx)
     if isinstance(result, Generator):
         gen = result

@@ -253,7 +253,7 @@ class Elementwise(Operator):
         self.preserves_shape = preserves_shape
 
     def tile(self, ctx: TileContext):
-        in_lists = [ctx.input_chunks(i) for i in range(len(self.outputs[0].inputs))]
+        in_lists = [ctx.input_chunks(i) for i in range(len(ctx.inputs))]
         n = max(len(l) for l in in_lists)
         for l in in_lists:
             assert len(l) in (1, n), (
@@ -320,7 +320,7 @@ class SetColumns(Operator):
         self.values = values
 
     def tile(self, ctx: TileContext):
-        in_lists = [ctx.input_chunks(i) for i in range(len(self.outputs[0].inputs))]
+        in_lists = [ctx.input_chunks(i) for i in range(len(ctx.inputs))]
         n = len(in_lists[0])
         chunks = []
         for i in range(n):
@@ -424,7 +424,7 @@ class Concat(Operator):
     def tile(self, ctx: TileContext):
         chunks = []
         r = 0
-        for i in range(len(self.outputs[0].inputs)):
+        for i in range(len(ctx.inputs)):
             for c in ctx.input_chunks(i):
                 chunks.append(ChunkNode(op=_Identity(), inputs=[c], index=(r, 0),
                                         meta=ChunkMeta(shape=c.meta.shape)))
@@ -773,8 +773,7 @@ class GroupByAgg(Operator):
                 cols = c.meta.columns
                 break
         if cols is None:
-            hint = self.outputs[0].inputs[0].columns_hint
-            cols = hint
+            cols = ctx.inputs[0].columns_hint
         resolved = []
         for out, col, func in self.specs:
             if col is None and out == "__all__":
@@ -868,9 +867,10 @@ class _MergeShuffleMap(Operator):
         total = self.n_reducers + self.hot_buckets
         if not self.hot_keys:
             return hash_partition(df, self.keys, self.n_reducers, total=total)
-        keyvals = (df[self.keys[0]] if len(self.keys) == 1
-                   else df[self.keys].astype(object).apply(tuple, axis=1))
-        hot_mask = keyvals.isin(self.hot_keys).to_numpy()
+        if len(self.keys) == 1:
+            hot_mask = df[self.keys[0]].isin(self.hot_keys).to_numpy()
+        else:
+            hot_mask = pd.MultiIndex.from_frame(df[self.keys]).isin(self.hot_keys)
         cold = df.iloc[np.flatnonzero(~hot_mask)]
         hot = df.iloc[np.flatnonzero(hot_mask)]
         out = hash_partition(cold, self.keys, self.n_reducers, total=total)
@@ -1035,12 +1035,19 @@ def _detect_hot_keys(ctx, left, right, lkeys, rkeys):
             m = ctx.meta.get(c.key)
             if m.nbytes and m.shape and m.shape[0]:
                 bytes_per_row = m.nbytes / m.shape[0]
-            payload = ctx.probe_payload(c.key) if hasattr(ctx, "probe_payload") else None
+            payload = ctx.probe_payload(c.key)
             if payload is None:
                 continue
-            kv = (payload[keys[0]] if len(keys) == 1
-                  else payload[keys].astype(object).apply(tuple, axis=1))
-            for k, n in kv.value_counts().head(20).items():
+            # composite keys count by groupby: same first-occurrence
+            # order into the same sort as value_counts, so identical
+            # top-20 lists, without building a tuple per row
+            if len(keys) == 1:
+                vc = payload[keys[0]].value_counts()
+            else:
+                vc = payload.groupby(keys, sort=False, dropna=False,
+                                     observed=True).size()
+                vc = vc.sort_values(ascending=False)
+            for k, n in vc.head(20).items():
                 counts[k] = counts.get(k, 0) + int(n)
         if bytes_per_row is None:
             continue
@@ -1150,7 +1157,7 @@ class SortValues(Operator):
     def _sample_bounds(self, ctx, in_chunks, n_red):
         samples = []
         for c in in_chunks:
-            payload = ctx.probe_payload(c.key) if hasattr(ctx, "probe_payload") else None
+            payload = ctx.probe_payload(c.key)
             if payload is not None and len(payload):
                 samples.append(payload[self.by[0]])
         if not samples:

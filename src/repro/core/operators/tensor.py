@@ -111,7 +111,7 @@ class TensorElementwise(Operator):
         self.name = name
 
     def tile(self, ctx: TileContext):
-        in_lists = [ctx.input_chunks(i) for i in range(len(self.outputs[0].inputs))]
+        in_lists = [ctx.input_chunks(i) for i in range(len(ctx.inputs))]
         n = max(len(l) for l in in_lists)
         chunks = []
         for i in range(n):

@@ -22,19 +22,6 @@ from .operators.base import Tileable, TileContext, build_tileable_dag, run_tile
 from .pruning import apply_pruning
 
 
-class _TilerContext(TileContext):
-    """TileContext wired to live services: probe payload access comes
-    from the storage service (dynamic operators inspect actual data,
-    e.g. join-key frequencies for skew detection)."""
-
-    def __init__(self, cfg, meta, storage, stats) -> None:
-        super().__init__(cfg, meta, stats)
-        self._storage = storage
-
-    def probe_payload(self, key: str):
-        return self._storage.get(key) if self._storage.has(key) else None
-
-
 class GraphTiler:
     """Tiles a tileable graph into chunks, executing probes on demand."""
 
@@ -61,7 +48,7 @@ class GraphTiler:
             stale = apply_pruning(dag)
             if stale:
                 self._invalidate(dag, stale)
-        ctx = _TilerContext(self.cfg, self.meta, self.executor.storage, self.stats)
+        ctx = TileContext(self.cfg, self.meta, self.stats, self.executor.storage)
 
         tiled_ops: set[int] = set()
         for t in dag.topological_order():
@@ -71,13 +58,15 @@ class GraphTiler:
             if id(t.op) in tiled_ops:
                 continue  # multi-output op already tiled via sibling
             tiled_ops.add(id(t.op))
-            chunk_lists = run_tile(t.op, ctx, self._execute_probe)
+            chunk_lists = run_tile(t, ctx, self._execute_probe)
             assert len(chunk_lists) == t.op.output_count, (
                 f"{type(t.op).__name__} returned {len(chunk_lists)} chunk "
                 f"lists for {t.op.output_count} outputs"
             )
-            for out, chunks in zip(t.op.outputs, chunk_lists):
-                out.chunks = chunks
+            # siblings the caller dropped are gone; live ones get tiled
+            # now so a later run does not tile the op a second time
+            for out in t.op.outputs:
+                out.chunks = chunk_lists[out.out_slot]
 
     def _invalidate(self, dag, stale: list[Tileable]) -> None:
         """Drop cached chunks of stale sources and their descendants so

@@ -1,12 +1,15 @@
 """Executor orchestration: fusion → scheduling → waves → store/free,
 memory metering, hang model, and ablation equivalence."""
+import pickle
+
+import cloudpickle
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.chunk import ChunkMeta, ChunkNode
 from repro.core.config import EngineConfig
-from repro.core.executor import LocalExecutor, SimulatedHang
+from repro.core.executor import LocalExecutor, SimulatedHang, run_subtask
 from repro.core.meta import MetaService
 from repro.core.operators.base import Operator
 from repro.core.operators.dataframe import DataChunk, Elementwise
@@ -146,3 +149,84 @@ class TestAblationEquivalence:
         _, a = self._result(graph_fusion=True, operator_fusion=True)
         _, b = self._result(graph_fusion=True, operator_fusion=False)
         pd.testing.assert_frame_equal(a, b)
+
+
+def _assert_same_payload(a, b):
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_same_payload(a[k], b[k])
+    elif isinstance(a, pd.DataFrame):
+        pd.testing.assert_frame_equal(a, b)
+    elif isinstance(a, pd.Series):
+        pd.testing.assert_series_equal(a, b)
+    else:
+        np.testing.assert_array_equal(a, b)
+
+
+class TestSubtaskSpec:
+    """A spec pickles to its members' ops and input keys, not to the
+    chunk and tileable graph upstream of it."""
+
+    @staticmethod
+    def _query_waves(n_rows):
+        """Run filter → merge → groupby over a ``from_pandas`` source;
+        return every wave as ``[(spec, inputs, input_sizes), ...]``."""
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+
+        g = np.random.default_rng(0)
+        left = pd.DataFrame({"k": g.integers(0, 50, n_rows), "v": g.random(n_rows)})
+        right = pd.DataFrame({"k": np.arange(50), "w": np.arange(50.0)})
+        # broadcast_threshold=0 forces the shuffle merge (reducer subtasks)
+        sess = XSession(EngineConfig(chunk_limit=16_000, broadcast_threshold=0))
+        ex = sess.executor
+        waves = []
+        run_wave = ex._run_wave
+
+        def recording_run_wave(specs):
+            waves.append([(s, ex._gather_inputs(s), ex._input_sizes(s))
+                          for s in specs])
+            run_wave(specs)
+
+        ex._run_wave = recording_run_wave
+        lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
+        got = lf[lf["v"] < 0.8].merge(rf, on="k").groupby("k").agg({"w": "sum"})
+        got = got.to_pandas()
+        exp = left[left["v"] < 0.8].merge(right, on="k").groupby("k").agg({"w": "sum"})
+        pd.testing.assert_frame_equal(got.sort_index(), exp, check_dtype=False)
+        sess.close()
+        return waves
+
+    @staticmethod
+    def _reducer_spec_bytes(waves):
+        out = []
+        for wave in waves:
+            for spec, _inputs, _sizes in wave:
+                if spec.reducers_needed() and not any(
+                    isinstance(c.op, DataChunk) for c in spec.chunks
+                ):
+                    out.append(len(cloudpickle.dumps(spec)))
+        assert out, "query planned no shuffle reducers"
+        return out
+
+    def test_reducer_spec_does_not_grow_with_source_rows(self):
+        small = self._reducer_spec_bytes(self._query_waves(2_000))
+        big = self._reducer_spec_bytes(self._query_waves(8_000))
+        # 4x the rows (and source chunks): a reducer spec gains only the
+        # keys of its extra mapper inputs, never upstream frames
+        assert max(big) <= 8 * 1024
+        assert max(big) <= max(small) + 1024
+
+    def test_unpickled_spec_gives_same_payloads(self):
+        waves = self._query_waves(2_000)
+        assert any(len(w) > 1 for w in waves)
+        for wave in waves:
+            for spec, inputs, sizes in wave:
+                shipped = pickle.loads(cloudpickle.dumps(spec))
+                want, want_sizes, want_peak = run_subtask(spec, inputs, sizes)
+                got, got_sizes, got_peak = run_subtask(shipped, inputs, sizes)
+                assert got.keys() == want.keys()
+                for k in want:
+                    _assert_same_payload(got[k], want[k])
+                assert (got_sizes, got_peak) == (want_sizes, want_peak)

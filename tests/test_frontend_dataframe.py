@@ -1,4 +1,7 @@
 """The xpd frontend vs pandas ground truth, operation by operation."""
+import gc
+import weakref
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -303,3 +306,29 @@ class TestDeferredEvaluation:
         first = df._cache
         df.execute()
         assert df._cache is first
+
+
+class TestQueryLifetime:
+    def test_finished_query_freed_by_refcount(self, sess, pdf):
+        """Ops hold their output tileables weakly: with the cyclic GC off,
+        dropping the frontend objects frees the whole tileable graph."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            df = xpd.from_pandas(pdf, sess)
+            right = xpd.from_pandas(pdf[["k", "w"]].drop_duplicates("k"), sess)
+            filtered = df[df["v"] < 0.5]
+            merged = filtered.merge(right, on="k")
+            out = merged.groupby("cat").agg({"w_y": "sum"})
+            got = out.to_pandas()
+            refs = [weakref.ref(t) for t in (filtered._t, merged._t, out._t)]
+            del df, right, filtered, merged, out
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+        exp = pdf[pdf["v"] < 0.5].merge(
+            pdf[["k", "w"]].drop_duplicates("k"), on="k"
+        ).groupby("cat").agg({"w_y": "sum"})
+        pd.testing.assert_frame_equal(got.sort_index(), exp, check_dtype=False)

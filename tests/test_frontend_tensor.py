@@ -105,6 +105,25 @@ class TestTSQR:
         _, r_ref = np.linalg.qr(a_np)
         np.testing.assert_allclose(np.abs(r.to_numpy()), np.abs(r_ref), atol=1e-8)
 
+    def test_sibling_output_tiled_once(self, sess, a_np):
+        """Running Q tiles the op once and gives R its chunks too, so
+        running R later re-tiles nothing."""
+        q, r = xnp.linalg.qr(xnp.array(a_np, sess))
+        q_np = q.to_numpy()
+        r_chunks = r._t.chunks
+        assert r_chunks is not None
+        r_np = r.to_numpy()
+        assert r._t.chunks is r_chunks
+        np.testing.assert_allclose(q_np @ r_np, a_np, atol=1e-10)
+
+    def test_dropped_sibling_output(self, sess, a_np):
+        """With Q dropped before R runs, the op keeps no Q to tile."""
+        t = xnp.array(a_np, sess)
+        r = xnp.linalg.qr(t)[1]
+        assert r._t.op.outputs == [r._t]
+        _, r_ref = np.linalg.qr(a_np)
+        np.testing.assert_allclose(np.abs(r.to_numpy()), np.abs(r_ref), atol=1e-8)
+
     def test_short_chunks_automerged(self, sess):
         """Chunks shorter than n_cols must be merged before local QR —
         the step Dask offloads to the user."""

@@ -8,7 +8,9 @@ from repro.core.operators.dataframe import (
     _AggCombine,
     _AggFinalize,
     _AggMap,
+    _MergeShuffleMap,
     _concat_parts,
+    _detect_hot_keys,
     hash_partition,
     normalize_aggs,
     split_pandas,
@@ -150,3 +152,55 @@ class TestConcatParts:
         df = frame(10)
         out = _concat_parts([df.iloc[:5], df.iloc[5:]])
         assert len(out) == 10
+
+
+class TestCompositeHotKeys:
+    """Composite join keys are counted and matched without building a
+    tuple per row; hot sets and row splits match the tuple path."""
+
+    @staticmethod
+    def tied_frame():
+        # 30 composite keys with equal counts: head(20) cuts inside a
+        # tie, so the hot set depends on tie order
+        g = np.random.default_rng(5)
+        ka = np.repeat(np.arange(30) % 7, 40)
+        kb = np.repeat([f"s{i}" for i in range(30)], 40)
+        perm = g.permutation(len(ka))
+        return pd.DataFrame({"a": ka[perm], "b": kb[perm],
+                             "v": g.random(len(ka))})
+
+    @staticmethod
+    def tuple_top20(df, keys):
+        kv = df[keys].astype(object).apply(tuple, axis=1)
+        return list(kv.value_counts().head(20).index)
+
+    def test_hot_keys_match_tuple_path(self):
+        from repro.core.chunk import ChunkMeta, ChunkNode
+        from repro.core.config import EngineConfig
+        from repro.core.meta import MetaService
+        from repro.core.operators.base import TileContext
+        from repro.storage.service import StorageService
+
+        df = self.tied_frame()
+        chunk = ChunkNode(op=None, inputs=[])
+        meta, storage = MetaService(), StorageService()
+        meta.put(chunk.key, ChunkMeta.from_payload(df))
+        storage.put(chunk.key, df)
+        # any key seen 40 times in the (only) probed chunk is hot
+        ctx = TileContext(EngineConfig(skew_key_limit=1), meta, storage=storage)
+        hot, _ = _detect_hot_keys(ctx, [chunk], [], ["a", "b"], ["a", "b"])
+        want = self.tuple_top20(df, ["a", "b"])
+        assert len(want) == 20
+        assert hot == set(want)
+
+    def test_shuffle_map_row_split_matches_tuple_path(self):
+        df = self.tied_frame()
+        keys = ["a", "b"]
+        hot = frozenset(self.tuple_top20(df, keys)[:5])
+        out = _MergeShuffleMap(keys, 4, hot, hot_buckets=2).execute_chunk([df], None)
+        tuple_mask = df[keys].astype(object).apply(tuple, axis=1).isin(hot)
+        cold = hash_partition(df[~tuple_mask], keys, 4, total=6)
+        for r in range(4):
+            pd.testing.assert_frame_equal(out[r], cold[r])
+        hot_rows = pd.concat([out[4], out[5]]).index
+        assert sorted(hot_rows) == sorted(df.index[tuple_mask])

@@ -2,8 +2,8 @@
 
 Two implementations with identical semantics:
 
-* :class:`LocalExecutor` — a thread pool; used by unit tests and by the
-  baseline engine simulators (fast, no serialisation).
+* :class:`LocalExecutor` — serial, in-process; used by unit tests and
+  by the baseline engine simulators (fast, no serialisation).
 * :class:`SparkExecutor` — each *wave* of ready subtasks becomes one
   Spark job: ``sc.parallelize(payload_items).map(run_subtask)``. This is
   the layer where the paper's subtask ≈ a Spark task (DESIGN.md § 2);
@@ -17,17 +17,12 @@ has run, so the resident set tracks what a real cluster would hold.
 """
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, NamedTuple
 
-from repro.storage.service import SimulatedOOM, StorageService
+from repro.storage.service import StorageService
 
 from .chunk import ChunkNode, build_chunk_dag, ChunkMeta, payload_nbytes
 from .config import EngineConfig
-from .fusion import FusedElementwise, execute_fused
-from .graph import DAG
 from .meta import MetaService
 from .scheduler import Scheduler, make_bands
 from .subtask import Subtask, build_subtask_graph
@@ -41,8 +36,8 @@ class SimulatedHang(RuntimeError):
 def run_subtask(
     spec: "SubtaskSpec",
     inputs: dict[str, Any],
-    input_sizes: Optional[dict[str, int]] = None,
-) -> tuple[dict[str, Any], dict[str, int], int]:
+    input_sizes: dict[str, int],
+) -> tuple[dict[str, Any], dict[str, Any], int]:
     """Execute one subtask purely: input payloads in, output payloads out.
 
     Shippable to a Spark task: ``spec`` holds only the member chunks'
@@ -53,16 +48,13 @@ def run_subtask(
 
     Returns ``(outputs, out_sizes, peak_working)``:
 
-    * ``out_sizes`` — bytes of each stored output, measured once;
+    * ``out_sizes`` — bytes of each stored output, measured once, here;
+      a shuffle mapper's bucket dict gets ``{reducer: bytes}``;
     * ``peak_working`` — the high-water mark of live bytes inside the
-      subtask: live inputs + live intermediates + (for shuffle reducers)
-      the *bucket slices* actually gathered. A reducer never
-      materialises every mapper's full dict, so whole-dict inputs are
-      excluded from the base and only their consumed bucket is charged —
-      anything else both mismodels real memory and costs
-      O(maps × reducers) in the meter.
+      subtask: live inputs + live intermediates. ``input_sizes`` gives
+      a shuffle input the bytes of the buckets actually gathered, not
+      of every mapper's full dict, which would mismodel real memory.
     """
-    input_sizes = input_sizes or {}
     # intra-subtask consumer counts drive freeing
     consumers: dict[str, int] = {}
     for chunk in spec.chunks:
@@ -70,53 +62,43 @@ def run_subtask(
             consumers[k] = consumers.get(k, 0) + 1
 
     values = dict(inputs)
-    sizes: dict[str, int] = {}
+    sizes: dict[str, Any] = {}
     store_keys = set(spec.store_keys)
-    bucket_inputs = {
-        k for k in spec.input_keys if isinstance(inputs.get(k), dict)
-    }
-    live: dict[str, int] = {
-        k: input_sizes.get(k, 0)
-        for k in spec.input_keys
-        if k not in bucket_inputs
-    }
+    live = {k: input_sizes[k] for k in spec.input_keys}
     live_total = sum(live.values())
     peak = live_total
 
     for chunk in spec.chunks:
-        ins = [values[k] for k in chunk.input_keys]
-        reducer = getattr(chunk.op, "reducer", None)
-        bucket_bytes = 0
-        if reducer is not None:
-            for payload in ins:
-                if isinstance(payload, dict):
-                    blk = payload.get(reducer)
-                    if blk is not None:
-                        bucket_bytes += payload_nbytes(blk)
-        if isinstance(chunk.op, FusedElementwise):
-            out = execute_fused(chunk.op, ins)
-        else:
-            out = chunk.op.execute_chunk(ins, chunk)
+        out = chunk.op.execute_chunk([values[k] for k in chunk.input_keys], chunk)
         values[chunk.key] = out
-        nbytes = payload_nbytes(out)
-        sizes[chunk.key] = nbytes
+        if _is_buckets(out):
+            sizes[chunk.key] = {r: payload_nbytes(b) for r, b in out.items()}
+            nbytes = sum(sizes[chunk.key].values())
+        else:
+            nbytes = sizes[chunk.key] = payload_nbytes(out)
         live[chunk.key] = nbytes
         live_total += nbytes
-        peak = max(peak, live_total + bucket_bytes)
+        peak = max(peak, live_total)
         # free inputs whose last consumer just ran
         for k in chunk.input_keys:
             consumers[k] -= 1
             if consumers[k] == 0 and k not in store_keys:
                 live_total -= live.pop(k, 0)
-                if k not in bucket_inputs and k in values:
-                    # keep external payloads intact for the driver; only
-                    # intra-subtask intermediates are truly dropped
-                    if k in sizes:
-                        del values[k]
+                # keep external payloads intact for the driver; only
+                # intra-subtask intermediates are truly dropped
+                if k in sizes:
+                    del values[k]
 
     outputs = {k: values[k] for k in spec.store_keys}
     out_sizes = {k: sizes[k] for k in spec.store_keys}
     return outputs, out_sizes, peak
+
+
+def _is_buckets(payload: Any) -> bool:
+    """A shuffle mapper's output: reducer id → block."""
+    return isinstance(payload, dict) and bool(payload) and all(
+        isinstance(r, int) for r in payload
+    )
 
 
 class TaskChunk(NamedTuple):
@@ -169,9 +151,8 @@ class _BucketMarker:
     O(maps × reducers) spill churn at scale (measured: 766 s vs ~1 s on
     one TPC-H-lite query)."""
 
-    def __init__(self, buckets: list[int], nbytes: int) -> None:
+    def __init__(self, buckets: list[int]) -> None:
         self.buckets = buckets
-        self.nbytes = nbytes
 
     @staticmethod
     def bucket_key(key: str, r: int) -> str:
@@ -195,11 +176,9 @@ class BaseExecutor:
         self.chunk_band: dict[str, str] = {}
         self.tasks_executed = 0
         self.waves = 0
-        self._lock = threading.Lock()
         # refcounts persist across execute() calls within one query so
         # probe-phase chunks are freed once the final graph consumed them
         self._pinned: set[str] = set()
-
     # -- public --------------------------------------------------------
     def execute(self, target_chunks: list[ChunkNode], pin_targets: bool = True) -> None:
         """Execute every not-yet-stored chunk needed by ``target_chunks``
@@ -294,113 +273,75 @@ class BaseExecutor:
             self._pinned.discard(k)
 
     # -- wave execution -------------------------------------------------
-    def _gather_inputs(self, spec: SubtaskSpec) -> dict[str, Any]:
+    def _run_wave(self, specs: list[SubtaskSpec]) -> None:
+        """Run one wave: each subtask's result is metered, then stored."""
+        for spec, (outputs, sizes, peak) in zip(specs, self._run_specs(specs)):
+            self._meter(spec, peak)
+            self._store_outputs(spec, outputs, sizes)
+            self.tasks_executed += 1
+
+    def _run_specs(self, specs: list[SubtaskSpec]) -> Iterator[tuple]:
+        """``run_subtask`` results in ``specs`` order. In-process and
+        lazy: each subtask is gathered only after the previous one was
+        stored, so a wave never holds all its outputs at once."""
+        for spec in specs:
+            yield run_subtask(spec, *self._gather(spec))
+
+    def _gather(self, spec: SubtaskSpec) -> tuple[dict[str, Any], dict[str, int]]:
+        """Input payloads and their stored sizes; a shuffle input is the
+        dict of buckets this subtask reads, sized as their sum."""
         needed = spec.reducers_needed()
-        out: dict[str, Any] = {}
+        inputs: dict[str, Any] = {}
+        sizes: dict[str, int] = {}
         for k in spec.input_keys:
             payload = self.storage.get(k)
             if isinstance(payload, _BucketMarker):
-                avail = set(payload.buckets)
-                out[k] = {
-                    r: self.storage.get(_BucketMarker.bucket_key(k, r))
-                    for r in needed & avail
+                keys = {
+                    r: _BucketMarker.bucket_key(k, r)
+                    for r in needed.intersection(payload.buckets)
                 }
+                inputs[k] = {r: self.storage.get(bk) for r, bk in keys.items()}
+                sizes[k] = sum(self.storage.nbytes_of(bk) for bk in keys.values())
             else:
-                out[k] = payload
-        return out
+                inputs[k] = payload
+                sizes[k] = self.storage.nbytes_of(k)
+        return inputs, sizes
 
     def _store_outputs(
-        self, spec: SubtaskSpec, outputs: dict[str, Any], sizes: dict[str, int]
+        self, spec: SubtaskSpec, outputs: dict[str, Any], sizes: dict[str, Any]
     ) -> None:
         band = spec.band or "w0-n0"
-        with self._lock:
-            for k, payload in outputs.items():
-                if isinstance(payload, dict) and payload and all(
-                    isinstance(r, int) for r in payload
-                ):
-                    # shuffle mapper output: store buckets individually
-                    total = 0
-                    for r, blk in payload.items():
-                        total += self.storage.put(
-                            _BucketMarker.bucket_key(k, r), blk, band=band
-                        )
-                    marker = _BucketMarker(sorted(payload), total)
-                    self.storage.put(k, marker, band=band, nbytes=64)
-                    self.meta.put(k, ChunkMeta(nbytes=total))
-                else:
-                    self.storage.put(k, payload, band=band, nbytes=sizes.get(k))
-                    self.meta.put(
-                        k, ChunkMeta.from_payload(payload, nbytes=sizes.get(k))
-                    )
-                self.chunk_band[k] = band
-
-    def _input_sizes(self, spec: SubtaskSpec) -> dict[str, int]:
-        return {
-            k: self.storage.nbytes_of(k)
-            for k in spec.input_keys
-            if self.storage.has(k)
-        }
+        for k, payload in outputs.items():
+            if _is_buckets(payload):
+                # shuffle mapper output: store buckets individually
+                for r, blk in payload.items():
+                    self.storage.put(_BucketMarker.bucket_key(k, r), blk,
+                                     band=band, nbytes=sizes[k][r])
+                self.storage.put(k, _BucketMarker(sorted(payload)), band=band,
+                                 nbytes=64)
+                self.meta.put(k, ChunkMeta(nbytes=sum(sizes[k].values())))
+            else:
+                self.storage.put(k, payload, band=band, nbytes=sizes[k])
+                self.meta.put(k, ChunkMeta.from_payload(payload, nbytes=sizes[k]))
+            self.chunk_band[k] = band
 
     def _meter(self, spec: SubtaskSpec, peak_working: int) -> None:
         """Charge the subtask's peak transient working set (inputs +
-        live intermediates + gathered buckets) against its band."""
+        live intermediates) against its band."""
         band = spec.band or "w0-n0"
-        with self._lock:
-            self.storage.charge_transient(band, peak_working)
-            self.storage.release_transient(band, peak_working)
-
-    def _run_wave(self, specs: list[SubtaskSpec]) -> None:  # pragma: no cover
-        raise NotImplementedError
+        self.storage.charge_transient(band, peak_working)
+        self.storage.release_transient(band, peak_working)
 
 
 class LocalExecutor(BaseExecutor):
-    """In-process executor (serial by default, optional thread pool).
+    """In-process, serial executor.
 
     pandas kernels rarely release the GIL, and under sandboxed kernels
     (gVisor) contended futexes are so slow that a thread pool can be
     100× *slower* than serial execution — measured, not hypothetical.
     Bands still drive scheduling and memory metering; wall-clock
-    parallelism comes from :class:`SparkExecutor` (real processes) or
-    from setting ``REPRO_THREADS=<wave width>`` on native kernels.
+    parallelism comes from :class:`SparkExecutor` (real processes).
     """
-
-    #: waves narrower than this run inline; float('inf') = always serial
-    PARALLEL_THRESHOLD = float(os.environ.get("REPRO_THREADS", "inf"))
-
-    def __init__(self, cfg, meta, storage) -> None:
-        super().__init__(cfg, meta, storage)
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _get_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(1, len(self.bands)),
-                thread_name_prefix="repro-band",
-            )
-        return self._pool
-
-    def _run_one(self, spec: SubtaskSpec) -> None:
-        inputs = self._gather_inputs(spec)
-        outputs, sizes, working = run_subtask(spec, inputs, self._input_sizes(spec))
-        self._meter(spec, working)
-        self._store_outputs(spec, outputs, sizes)
-        with self._lock:
-            self.tasks_executed += 1
-
-    def _run_wave(self, specs: list[SubtaskSpec]) -> None:
-        if len(specs) < self.PARALLEL_THRESHOLD:
-            for s in specs:
-                self._run_one(s)
-            return
-        futures = [self._get_pool().submit(self._run_one, s) for s in specs]
-        errs = []
-        for f in futures:
-            try:
-                f.result()
-            except Exception as e:  # drain all, then raise the first
-                errs.append(e)
-        if errs:
-            raise errs[0]
 
 
 class SparkExecutor(BaseExecutor):
@@ -411,32 +352,16 @@ class SparkExecutor(BaseExecutor):
         super().__init__(cfg, meta, storage)
         self.spark = spark
 
-    def _run_wave(self, specs: list[SubtaskSpec]) -> None:
+    def _run_specs(self, specs: list[SubtaskSpec]) -> Iterator[tuple]:
         if len(specs) == 1:
             # avoid job overhead for singleton waves (common: final agg)
-            spec = specs[0]
-            inputs = self._gather_inputs(spec)
-            outputs, sizes, working = run_subtask(spec, inputs,
-                                                  self._input_sizes(spec))
-            self._meter(spec, working)
-            self._store_outputs(spec, outputs, sizes)
-            self.tasks_executed += 1
-            return
+            return super()._run_specs(specs)
         # One partition per subtask: each Spark task deserialises only its
         # own spec + input payloads.
-        items = [
-            (spec, self._gather_inputs(spec), self._input_sizes(spec))
-            for spec in specs
-        ]
+        items = [(spec, *self._gather(spec)) for spec in specs]
         sc = self.spark.sparkContext
-        results = (
+        return iter(
             sc.parallelize(items, len(items))
-            .map(lambda it: (it[0].key, run_subtask(it[0], it[1], it[2])))
+            .map(lambda it: run_subtask(*it))
             .collect()
         )
-        by_key = dict(results)
-        for spec, _inputs, _sz in items:
-            outputs, sizes, working = by_key[spec.key]
-            self._meter(spec, working)
-            self._store_outputs(spec, outputs, sizes)
-            self.tasks_executed += 1

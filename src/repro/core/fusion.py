@@ -114,14 +114,16 @@ class FusedElementwise(Operator):
 
     elementwise = True
 
-    def __init__(self, ops: list[Operator], chain: list[ChunkNode]) -> None:
+    def __init__(self, ops: list[Operator]) -> None:
         self.ops = ops
-        # For each op after the first, the position of its chained input
-        # within its input list (other inputs come from outside).
-        self.chain_keys = [c.key for c in chain]
 
     def execute_chunk(self, inputs: list[Any], chunk: ChunkNode) -> Any:
-        raise NotImplementedError("executed via execute_fused")
+        """Run the chain in one pass: the head sees the external inputs,
+        every later op sees only the running value."""
+        value = self.ops[0].execute_chunk(inputs, None)
+        for op in self.ops[1:]:
+            value = op.execute_chunk([value], None)
+        return value
 
 
 def fuse_elementwise_chains(group: list[ChunkNode], dag: DAG[ChunkNode]) -> list[ChunkNode]:
@@ -176,7 +178,7 @@ def fuse_elementwise_chains(group: list[ChunkNode], dag: DAG[ChunkNode]) -> list
     for chain in chains:
         head, tail = chain[0], chain[-1]
         fused = ChunkNode(
-            op=FusedElementwise([c.op for c in chain], chain),
+            op=FusedElementwise([c.op for c in chain]),
             inputs=list(head.inputs),
             index=tail.index,
             key=tail.key,  # keep the tail's key: downstream consumers ref it
@@ -191,11 +193,3 @@ def fuse_elementwise_chains(group: list[ChunkNode], dag: DAG[ChunkNode]) -> list
         out.append(replaced.get(node.key, node))
     return out
 
-
-def execute_fused(op: FusedElementwise, inputs: list[Any]) -> Any:
-    """Run a fused chain in one pass: the head sees the external inputs,
-    every later op sees only the running value."""
-    value = op.ops[0].execute_chunk(inputs, None)
-    for sub in op.ops[1:]:
-        value = sub.execute_chunk([value], None)
-    return value

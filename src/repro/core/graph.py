@@ -110,7 +110,9 @@ class DAG(Generic[N]):
         return seen
 
     def subgraph(self, nodes: Iterable[N]) -> "DAG[N]":
-        keep = set(nodes)
+        """The subgraph induced by ``nodes``, walked in the caller's order
+        (not a set's), so tie-breaks never depend on the hash seed."""
+        keep = dict.fromkeys(nodes)
         g: DAG[N] = DAG()
         for n in keep:
             g.add_node(n)

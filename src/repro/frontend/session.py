@@ -3,7 +3,7 @@
 
 ``init()`` mirrors ``xorbits.init()``: it creates the default session
 that frontends submit to. A session owns one meta service, one storage
-service, one executor (local threads or Spark), and one dynamic tiler.
+service, one executor (local or Spark), and one dynamic tiler.
 """
 from __future__ import annotations
 
@@ -28,12 +28,10 @@ class XSession:
         self,
         cfg: Optional[EngineConfig] = None,
         spark=None,
-        storage_memory_limit: Optional[int] = None,
     ) -> None:
         self.cfg = cfg or EngineConfig()
         self.meta = MetaService()
         self.storage = StorageService(
-            memory_limit=storage_memory_limit,
             band_memory_limit=self.cfg.band_memory_limit,
             allow_spill=self.cfg.allow_spill,
         )

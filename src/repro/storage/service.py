@@ -12,8 +12,8 @@ design points at laptop scale:
   paper's shared-memory + spill configuration.
 * **Minimised data transfer** — within one process payloads are stored
   by reference (the paper uses pickle5 zero-copy between processes).
-* **Shuffle over storage** — mappers ``put_shuffle`` per-reducer blocks
-  and reducers ``get_shuffle`` them.
+* **Shuffle over storage** — the executor stores each shuffle bucket as
+  its own entry, so a reducer reads (and spill moves) only its bucket.
 
 The service is also the honest memory meter behind ``SimulatedOOM``
 (DESIGN.md § 6): *stored* chunks are spillable, but the **transient
@@ -30,7 +30,7 @@ import pickle
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from repro.core.chunk import payload_nbytes
 
@@ -79,17 +79,15 @@ class BandUsage:
 
 
 class StorageService:
-    """Key→payload store with per-band spill, shuffle buckets, metering."""
+    """Key→payload store with per-band spill and metering."""
 
     def __init__(
         self,
-        memory_limit: Optional[int] = None,  # kept for API compat; unused
         band_memory_limit: Optional[int] = None,
         spill_dir: Optional[str] = None,
         allow_spill: bool = True,
     ) -> None:
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
-        self._shuffle: dict[tuple, list[tuple]] = {}
         self.band_memory_limit = band_memory_limit
         self.allow_spill = allow_spill
         self._spill_dir = spill_dir
@@ -138,7 +136,12 @@ class StorageService:
 
     def release_transient(self, band: str, nbytes: int) -> None:
         u = self.band_usage(band)
-        u.transient = max(0, u.transient - nbytes)
+        if nbytes > u.transient:
+            raise AssertionError(
+                f"band {band}: releasing {nbytes} transient bytes, "
+                f"only {u.transient} charged"
+            )
+        u.transient -= nbytes
 
     # -- core put/get ---------------------------------------------------
     def put(self, key: str, payload: Any, band: str = "b0",
@@ -176,9 +179,6 @@ class StorageService:
     def level_of(self, key: str) -> StorageLevel:
         return self._entries[key].level
 
-    def band_of(self, key: str) -> str:
-        return self._entries[key].band
-
     def nbytes_of(self, key: str) -> int:
         return self._entries[key].nbytes
 
@@ -188,41 +188,17 @@ class StorageService:
             return
         if entry.level is StorageLevel.MEMORY:
             u = self.band_usage(entry.band)
-            u.resident = max(0, u.resident - entry.nbytes)
+            if entry.nbytes > u.resident:
+                raise AssertionError(
+                    f"band {entry.band}: deleting {key} of {entry.nbytes} "
+                    f"bytes, only {u.resident} resident"
+                )
+            u.resident -= entry.nbytes
         elif entry.path and os.path.exists(entry.path):
             os.unlink(entry.path)
 
-    def delete_many(self, keys: Iterable[str]) -> None:
-        for k in list(keys):
-            self.delete(k)
-
     def keys(self) -> list[str]:
         return list(self._entries)
-
-    @property
-    def memory_used(self) -> int:
-        return sum(
-            e.nbytes for e in self._entries.values()
-            if e.level is StorageLevel.MEMORY
-        )
-
-    # -- shuffle --------------------------------------------------------
-    def put_shuffle(self, shuffle_id: str, reducer: int, block: Any,
-                    band: str = "b0") -> None:
-        """Append one mapper's block for ``reducer``; blocks are bucketed
-        per (shuffle_id, reducer) so a reducer does one logical read (the
-        paper's aggregated shuffle transfer)."""
-        nbytes = payload_nbytes(block)
-        self._shuffle.setdefault((shuffle_id, reducer), []).append(
-            (block, band, nbytes)
-        )
-
-    def get_shuffle(self, shuffle_id: str, reducer: int) -> list[Any]:
-        return [blk for blk, _band, _n in self._shuffle.get((shuffle_id, reducer), [])]
-
-    def drop_shuffle(self, shuffle_id: str) -> None:
-        for k in [k for k in self._shuffle if k[0] == shuffle_id]:
-            del self._shuffle[k]
 
     # -- spill ----------------------------------------------------------
     def _spill_entry(self, key: str, entry: _Entry) -> None:
@@ -244,7 +220,6 @@ class StorageService:
     def close(self) -> None:
         for key in list(self._entries):
             self.delete(key)
-        self._shuffle.clear()
         self.bands.clear()
         if self._tmp is not None:
             self._tmp.cleanup()

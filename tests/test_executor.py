@@ -1,6 +1,11 @@
 """Executor orchestration: fusion → scheduling → waves → store/free,
 memory metering, hang model, and ablation equivalence."""
+import json
+import os
 import pickle
+import subprocess
+import sys
+from collections import Counter
 
 import cloudpickle
 import numpy as np
@@ -164,6 +169,19 @@ def _assert_same_payload(a, b):
         np.testing.assert_array_equal(a, b)
 
 
+def _record_waves(ex):
+    """Record every wave ``ex`` runs as ``[(spec, inputs, input_sizes), ...]``."""
+    waves = []
+    run_wave = ex._run_wave
+
+    def recording_run_wave(specs):
+        waves.append([(s, *ex._gather(s)) for s in specs])
+        run_wave(specs)
+
+    ex._run_wave = recording_run_wave
+    return waves
+
+
 class TestSubtaskSpec:
     """A spec pickles to its members' ops and input keys, not to the
     chunk and tileable graph upstream of it."""
@@ -180,16 +198,7 @@ class TestSubtaskSpec:
         right = pd.DataFrame({"k": np.arange(50), "w": np.arange(50.0)})
         # broadcast_threshold=0 forces the shuffle merge (reducer subtasks)
         sess = XSession(EngineConfig(chunk_limit=16_000, broadcast_threshold=0))
-        ex = sess.executor
-        waves = []
-        run_wave = ex._run_wave
-
-        def recording_run_wave(specs):
-            waves.append([(s, ex._gather_inputs(s), ex._input_sizes(s))
-                          for s in specs])
-            run_wave(specs)
-
-        ex._run_wave = recording_run_wave
+        waves = _record_waves(sess.executor)
         lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
         got = lf[lf["v"] < 0.8].merge(rf, on="k").groupby("k").agg({"w": "sum"})
         got = got.to_pandas()
@@ -230,3 +239,116 @@ class TestSubtaskSpec:
                 for k in want:
                     _assert_same_payload(got[k], want[k])
                 assert (got_sizes, got_peak) == (want_sizes, want_peak)
+
+
+def _shuffle_merge_waves(cfg):
+    """Run a shuffle merge; return its recorded waves and the session."""
+    from repro.frontend import dataframe as xpd
+    from repro.frontend.session import XSession
+
+    g = np.random.default_rng(0)
+    left = pd.DataFrame({"k": g.integers(0, 50, 4000), "v": g.random(4000)})
+    right = pd.DataFrame({"k": np.arange(50), "w": np.arange(50.0)})
+    sess = XSession(cfg)
+    waves = _record_waves(sess.executor)
+    lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
+    got = lf.merge(rf, on="k").to_pandas()
+    assert len(got) == len(left.merge(right, on="k"))
+    return waves, sess
+
+
+STATIC_SHUFFLE_8 = dict(chunk_limit=16_000, dynamic_tiling=False,
+                        static_shuffle_partitions=8)
+
+
+class TestMeasureOnce:
+    """Each payload is sized once, where it is produced, and the meter
+    reads stored sizes from then on."""
+
+    def test_each_bucket_measured_once(self, monkeypatch):
+        from repro.core import chunk, executor
+        from repro.storage import service
+
+        measured, stored = [], []
+        monkeypatch.setattr(executor, "payload_nbytes",
+                            lambda p: measured.append(p) or chunk.payload_nbytes(p))
+        monkeypatch.setattr(service, "payload_nbytes",
+                            lambda p: pytest.fail("storage re-measured a payload"))
+        put = StorageService.put
+
+        def recording_put(self, key, payload, *args, **kwargs):
+            if "::b" in key:
+                stored.append(payload)
+            return put(self, key, payload, *args, **kwargs)
+
+        monkeypatch.setattr(StorageService, "put", recording_put)
+        _waves, sess = _shuffle_merge_waves(EngineConfig(**STATIC_SHUFFLE_8))
+        sess.close()
+        # `measured` keeps every payload alive, so ids are never reused
+        times = Counter(map(id, measured))
+        assert len(stored) >= 8
+        assert all(times[id(b)] == 1 for b in stored)
+
+    def test_reducer_peak_is_buckets_plus_output(self):
+        from repro.core.chunk import payload_nbytes
+
+        waves, sess = _shuffle_merge_waves(EngineConfig(**STATIC_SHUFFLE_8))
+        sess.close()
+        reducers = [
+            (spec, inputs, sizes) for wave in waves
+            for spec, inputs, sizes in wave if spec.reducers_needed()
+        ]
+        assert len(reducers) == 8
+        for spec, inputs, sizes in reducers:
+            buckets = sum(payload_nbytes(b) for d in inputs.values()
+                          for b in d.values())
+            assert sum(sizes.values()) == buckets
+            outputs, out_sizes, peak = run_subtask(spec, inputs, sizes)
+            out_bytes = sum(payload_nbytes(o) for o in outputs.values())
+            assert sum(out_sizes.values()) == out_bytes
+            assert peak == buckets + out_bytes
+
+
+_CHARGES_SCRIPT = """
+import json
+from repro.engines import XorbitsEngine
+from repro.storage.service import StorageService
+from repro.synth_data import tpch_tables_pdf
+from repro.workloads.tpch import QUERIES
+
+charges, spills = [], []
+charge, close = StorageService.charge_transient, StorageService.close
+
+def recording_charge(self, band, nbytes):
+    charges.append((band, nbytes))
+    return charge(self, band, nbytes)
+
+def recording_close(self):
+    spills.append(self.spill_count)
+    return close(self)
+
+StorageService.charge_transient = recording_charge
+StorageService.close = recording_close
+q = QUERIES["q21"]
+eng = XorbitsEngine(band_budget=2 << 20, chunk_limit=1 << 20)
+res = eng.run_query(q.fn, tpch_tables_pdf(0.02, q.tables), name="q21")
+print(json.dumps([res.outcome.value, charges, spills]))
+"""
+
+
+def test_schedule_independent_of_hash_seed():
+    """Waves, bands and spill victims follow graph order, never the
+    iteration order of a set of string keys."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", _CHARGES_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        runs.append(json.loads(out.stdout.splitlines()[-1]))
+    assert runs[0][0] == "ok"
+    assert sum(runs[0][2]) > 0  # the budget forces spills
+    assert runs[0] == runs[1]

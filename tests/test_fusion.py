@@ -6,7 +6,6 @@ from repro.core.chunk import ChunkNode
 from repro.core.fusion import (
     FusedElementwise,
     color_graph,
-    execute_fused,
     fuse_elementwise_chains,
     fusion_groups,
 )
@@ -151,7 +150,7 @@ class TestOperatorFusion:
         assert len(fused_nodes) == 1
         fop = fused_nodes[0].op
         assert isinstance(fop, FusedElementwise)
-        assert execute_fused(fop, [10]) == (10 + 1) * 2 - 3
+        assert fop.execute_chunk([10], None) == (10 + 1) * 2 - 3
         # the fused node keeps the tail's key so consumers resolve
         assert fused_nodes[0].key == c.key
 
@@ -186,5 +185,5 @@ class TestOperatorFusion:
         b = node(op=Ew(lambda d: d.assign(b=d["a"] * 10)), inputs=[a])
         dag = build([(a, b)], [a, b])
         (fused,) = fuse_elementwise_chains([a, b], dag)
-        out = execute_fused(fused.op, [df])
+        out = fused.op.execute_chunk([df], None)
         assert list(out["b"]) == [20, 30]

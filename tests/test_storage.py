@@ -1,5 +1,5 @@
 """Unit tests for the storage service (paper § V-C): levels, spill,
-shuffle buckets, and the band memory meter behind ``SimulatedOOM``."""
+and the band memory meter behind ``SimulatedOOM``."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -65,8 +65,8 @@ class TestPutGet:
     def test_nbytes_and_band(self):
         s = StorageService()
         s.put("k", frame(), band="w0-n1")
-        assert s.band_of("k") == "w0-n1"
         assert s.nbytes_of("k") > 0
+        assert s.band_usage("w0-n1").resident == s.nbytes_of("k")
 
     def test_precomputed_nbytes_honoured(self):
         s = StorageService()
@@ -92,10 +92,12 @@ class TestPutGet:
     def test_delete_missing_is_noop(self):
         StorageService().delete("missing")
 
-    def test_memory_used_counts_memory_level_only(self):
-        s = StorageService(band_memory_limit=None)
-        s.put("k", frame())
-        assert s.memory_used == s.nbytes_of("k")
+    def test_delete_beyond_resident_raises(self):
+        s = StorageService()
+        s.put("k", frame(), band="b0", nbytes=100)
+        s.band_usage("b0").resident = 40  # accounting broken elsewhere
+        with pytest.raises(AssertionError, match="b0.*100.*40"):
+            s.delete("k")
 
 
 class TestSpill:
@@ -159,36 +161,22 @@ class TestOOM:
         assert s.level_of("k") is StorageLevel.DISK
         s.release_transient("b0", int(1.5 * payload_nbytes(df)))
 
+    def test_release_beyond_charge_raises(self):
+        s = StorageService(band_memory_limit=None)
+        s.charge_transient("b0", 100)
+        with pytest.raises(AssertionError, match="b0.*150.*100"):
+            s.release_transient("b0", 150)
+
     def test_no_limit_never_raises(self):
         s = StorageService(band_memory_limit=None)
         s.charge_transient("b0", 1 << 40)
         s.release_transient("b0", 1 << 40)
 
 
-class TestShuffle:
-    def test_put_get_buckets(self):
-        s = StorageService()
-        s.put_shuffle("sh1", 0, frame(10))
-        s.put_shuffle("sh1", 0, frame(20))
-        s.put_shuffle("sh1", 1, frame(30))
-        assert len(s.get_shuffle("sh1", 0)) == 2
-        assert len(s.get_shuffle("sh1", 1)) == 1
-        assert s.get_shuffle("sh1", 9) == []
-
-    def test_drop_shuffle(self):
-        s = StorageService()
-        s.put_shuffle("sh1", 0, frame(10))
-        s.put_shuffle("sh2", 0, frame(10))
-        s.drop_shuffle("sh1")
-        assert s.get_shuffle("sh1", 0) == []
-        assert len(s.get_shuffle("sh2", 0)) == 1
-
-
 class TestClose:
     def test_close_clears_everything(self):
         s = StorageService(band_memory_limit=1 << 30)
         s.put("k", frame(), band="b0")
-        s.put_shuffle("sh", 0, frame(10))
         s.close()
         assert not s.has("k")
         assert s.bands == {}

@@ -89,6 +89,17 @@ def payload_nbytes(payload: Any) -> int:
     return 256  # conservative default for small aux objects
 
 
+class Buckets(dict):
+    """A shuffle mapper's output: reducer id → block, holding only the
+    non-empty blocks. ``empty`` is a zero-row frame with the mapper
+    input's columns and dtypes; it stands in for every absent bucket,
+    so a reducer still sees both sides' column structure."""
+
+    def __init__(self, blocks: dict, empty: Any) -> None:
+        super().__init__(blocks)
+        self.empty = empty
+
+
 def payload_shape(payload: Any) -> Optional[tuple]:
     if isinstance(payload, (pd.DataFrame, pd.Series, np.ndarray)):
         return tuple(payload.shape)

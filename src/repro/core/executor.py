@@ -21,7 +21,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.storage.service import StorageService
 
-from .chunk import ChunkNode, build_chunk_dag, ChunkMeta, payload_nbytes
+from .chunk import Buckets, ChunkNode, build_chunk_dag, ChunkMeta, payload_nbytes
 from .config import EngineConfig
 from .meta import MetaService
 from .scheduler import Scheduler, make_bands
@@ -71,7 +71,7 @@ def run_subtask(
     for chunk in spec.chunks:
         out = chunk.op.execute_chunk([values[k] for k in chunk.input_keys], chunk)
         values[chunk.key] = out
-        if _is_buckets(out):
+        if isinstance(out, Buckets):
             sizes[chunk.key] = {r: payload_nbytes(b) for r, b in out.items()}
             nbytes = sum(sizes[chunk.key].values())
         else:
@@ -92,13 +92,6 @@ def run_subtask(
     outputs = {k: values[k] for k in spec.store_keys}
     out_sizes = {k: sizes[k] for k in spec.store_keys}
     return outputs, out_sizes, peak
-
-
-def _is_buckets(payload: Any) -> bool:
-    """A shuffle mapper's output: reducer id → block."""
-    return isinstance(payload, dict) and bool(payload) and all(
-        isinstance(r, int) for r in payload
-    )
 
 
 class TaskChunk(NamedTuple):
@@ -143,16 +136,19 @@ class SubtaskSpec:
 
 
 class _BucketMarker:
-    """Stored in place of a shuffle mapper's bucket dict; the buckets
-    themselves live as individual entries (``key::b<r>``) so a reducer
-    fetches — and the spill layer moves — only its own bucket, exactly
-    the paper's storage-service shuffle. Storing the whole dict instead
-    makes every reducer page in every mapper's full output:
-    O(maps × reducers) spill churn at scale (measured: 766 s vs ~1 s on
-    one TPC-H-lite query)."""
+    """Stored in place of a shuffle mapper's :class:`Buckets`; the
+    buckets themselves live as individual entries (``key::b<r>``), one
+    entry per *non-empty* bucket, so a reducer fetches — and the spill
+    layer moves — only its own bucket, exactly the paper's
+    storage-service shuffle. The marker carries the schema: ``empty``,
+    the zero-row frame a reducer gets for a bucket that was not stored.
+    Storing the whole dict instead makes every reducer page in every
+    mapper's full output: O(maps × reducers) spill churn at scale
+    (measured: 766 s vs ~1 s on one TPC-H-lite query)."""
 
-    def __init__(self, buckets: list[int]) -> None:
+    def __init__(self, buckets: list[int], empty: Any) -> None:
         self.buckets = buckets
+        self.empty = empty
 
     @staticmethod
     def bucket_key(key: str, r: int) -> str:
@@ -289,7 +285,8 @@ class BaseExecutor:
 
     def _gather(self, spec: SubtaskSpec) -> tuple[dict[str, Any], dict[str, int]]:
         """Input payloads and their stored sizes; a shuffle input is the
-        dict of buckets this subtask reads, sized as their sum."""
+        dict of buckets this subtask reads, sized as the sum of the stored
+        ones. A bucket the mapper did not store is its zero-row ``empty``."""
         needed = spec.reducers_needed()
         inputs: dict[str, Any] = {}
         sizes: dict[str, int] = {}
@@ -300,7 +297,8 @@ class BaseExecutor:
                     r: _BucketMarker.bucket_key(k, r)
                     for r in needed.intersection(payload.buckets)
                 }
-                inputs[k] = {r: self.storage.get(bk) for r, bk in keys.items()}
+                inputs[k] = dict.fromkeys(needed, payload.empty)
+                inputs[k].update((r, self.storage.get(bk)) for r, bk in keys.items())
                 sizes[k] = sum(self.storage.nbytes_of(bk) for bk in keys.values())
             else:
                 inputs[k] = payload
@@ -312,13 +310,13 @@ class BaseExecutor:
     ) -> None:
         band = spec.band or "w0-n0"
         for k, payload in outputs.items():
-            if _is_buckets(payload):
+            if isinstance(payload, Buckets):
                 # shuffle mapper output: store buckets individually
                 for r, blk in payload.items():
                     self.storage.put(_BucketMarker.bucket_key(k, r), blk,
                                      band=band, nbytes=sizes[k][r])
-                self.storage.put(k, _BucketMarker(sorted(payload)), band=band,
-                                 nbytes=64)
+                self.storage.put(k, _BucketMarker(sorted(payload), payload.empty),
+                                 band=band, nbytes=64)
                 self.meta.put(k, ChunkMeta(nbytes=sum(sizes[k].values())))
             else:
                 self.storage.put(k, payload, band=band, nbytes=sizes[k])

@@ -24,7 +24,7 @@ import numpy as np
 import pandas as pd
 
 from ..automerge import plan_merge_groups
-from ..chunk import ChunkMeta, ChunkNode, new_key, payload_nbytes
+from ..chunk import Buckets, ChunkMeta, ChunkNode, new_key, payload_nbytes
 from ..reduce_select import choose_reduce
 from .base import Operator, TileContext
 
@@ -44,37 +44,50 @@ def split_pandas(pdf: pd.DataFrame, max_bytes: int) -> list[pd.DataFrame]:
     return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
+def _empty_like(pdf):
+    """A zero-row copy of ``pdf`` with its columns and dtypes. Built by
+    ``take``, so it owns fresh arrays: a zero-row ``iloc`` slice would
+    keep the whole input alive through its base arrays."""
+    return pdf.iloc[np.empty(0, dtype=np.intp)]
+
+
+def _split_by_codes(pdf, codes: np.ndarray, total: int) -> Buckets:
+    """Split ``pdf`` by per-row bucket ``codes`` in ``range(total)``,
+    keeping only the non-empty buckets; rows keep their input order
+    inside a bucket. One stable sort + boundary slicing: O(rows log
+    rows), independent of the bucket count (a per-bucket mask scan is
+    O(rows × buckets))."""
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(total + 1))
+    reordered = pdf.iloc[order]
+    return Buckets(
+        {r: reordered.iloc[bounds[r]:bounds[r + 1]]
+         for r in np.flatnonzero(np.diff(bounds)).tolist()},
+        _empty_like(pdf),
+    )
+
+
 def hash_partition(
     pdf: pd.DataFrame, on: list[str], n: int, total: Optional[int] = None
-) -> dict[int, pd.DataFrame]:
+) -> Buckets:
     """Deterministic hash partitioning on key columns — same function on
     every engine so shuffles are reproducible.
 
-    Every bucket in ``range(total or n)`` is present in the result (empty
-    buckets carry a zero-row slice), so downstream reducers always see
-    both sides' column structure even when a bucket got no rows.
+    Only the non-empty buckets of ``range(total or n)`` are in the
+    result; its ``empty`` carries the schema for the rest, so the
+    executor stores one entry per *non-empty* bucket and the marker
+    carries the schema.
     """
     total = total if total is not None else n
     if len(pdf) == 0 or n <= 1:
-        out = {r: pdf.iloc[0:0] for r in range(total)}
-        out[0] = pdf
-        return out
+        return Buckets({0: pdf} if len(pdf) else {}, _empty_like(pdf))
     if len(on) == 1:
         h = pd.util.hash_pandas_object(pdf[on[0]], index=False)
     else:
         h = pd.util.hash_pandas_object(
             pdf[on].astype(object).apply(tuple, axis=1), index=False
         )
-    codes = (h % n).to_numpy()
-    # one stable sort + boundary slicing: O(rows log rows), independent
-    # of the bucket count (a per-bucket mask scan is O(rows × buckets))
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    bounds = np.searchsorted(sorted_codes, np.arange(total + 1))
-    reordered = pdf.iloc[order]
-    return {
-        r: reordered.iloc[bounds[r]:bounds[r + 1]] for r in range(total)
-    }
+    return _split_by_codes(pdf, (h % n).to_numpy(), total)
 
 
 def _concat_parts(parts: list) -> pd.DataFrame:
@@ -878,14 +891,14 @@ class _MergeShuffleMap(Operator):
             if self.replicate_hot:
                 for b in range(self.hot_buckets):
                     r = self.n_reducers + b
-                    out[r] = pd.concat([out[r], hot])
+                    out[r] = pd.concat([out.get(r, out.empty), hot])
             else:
                 assign = np.arange(len(hot)) % self.hot_buckets
                 for b in range(self.hot_buckets):
                     part = hot.iloc[np.flatnonzero(assign == b)]
                     if len(part):
                         r = self.n_reducers + b
-                        out[r] = pd.concat([out[r], part])
+                        out[r] = pd.concat([out.get(r, out.empty), part])
         return out
 
 
@@ -899,9 +912,9 @@ class _MergeShuffleReduce(Operator):
         self.n_left = n_left  # first n_left inputs are left-side mappers
 
     def execute_chunk(self, inputs, chunk):
-        # Mappers emit every bucket (possibly zero-row) so both sides'
-        # column structure is always available here; merging empty sides
-        # yields an empty frame with the correct output columns.
+        # The executor hands every bucket a mapper did not store as that
+        # mapper's zero-row ``empty``, so both sides' column structure is
+        # always here; merging empty sides yields the right output columns.
         lparts = [b[self.reducer] for b in inputs[: self.n_left] if self.reducer in b]
         rparts = [b[self.reducer] for b in inputs[self.n_left:] if self.reducer in b]
         left = _concat_parts(lparts)
@@ -1093,10 +1106,7 @@ class _RangeSplit(Operator):
         codes = np.searchsorted(self.bounds, key.to_numpy(), side="right")
         if not self.ascending:
             codes = len(self.bounds) - codes
-        return {
-            r: df.iloc[np.flatnonzero(codes == r)]
-            for r in range(len(self.bounds) + 1)
-        }
+        return _split_by_codes(df, codes, len(self.bounds) + 1)
 
 
 class _RangeSortReduce(Operator):

@@ -12,8 +12,9 @@ design points at laptop scale:
   paper's shared-memory + spill configuration.
 * **Minimised data transfer** — within one process payloads are stored
   by reference (the paper uses pickle5 zero-copy between processes).
-* **Shuffle over storage** — the executor stores each shuffle bucket as
-  its own entry, so a reducer reads (and spill moves) only its bucket.
+* **Shuffle over storage** — the executor stores one entry per
+  *non-empty* shuffle bucket, so a reducer reads (and spill moves) only
+  its bucket; the mapper's marker carries the schema for the rest.
 
 The service is also the honest memory meter behind ``SimulatedOOM``
 (DESIGN.md § 6): *stored* chunks are spillable, but the **transient

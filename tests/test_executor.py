@@ -309,6 +309,84 @@ class TestMeasureOnce:
             assert peak == buckets + out_bytes
 
 
+STATIC_SHUFFLE_64 = dict(chunk_limit=2_000, dynamic_tiling=False,
+                         static_reduce="shuffle", static_shuffle_partitions=64)
+
+
+def _sparse_shuffle_query(sess):
+    """A 64-way static shuffle merge + groupby over a few dozen keys, so
+    most buckets are empty and some reducers get rows from one side only.
+    Returns the engine's result and pandas'."""
+    from repro.frontend import dataframe as xpd
+
+    g = np.random.default_rng(7)
+    left = pd.DataFrame({"k": g.integers(0, 40, 300), "v": g.random(300),
+                         "tag": [f"t{i % 5}" for i in range(300)]})
+    right = pd.DataFrame({"k": np.arange(20, 60), "w": np.arange(40, dtype="int32"),
+                          "name": [f"n{i}" for i in range(40)]})
+    lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
+    agg = dict(v=("v", "sum"), w=("w", "max"), name=("name", "min"))
+    got = lf.merge(rf, on="k").groupby("tag").agg(**agg).to_pandas()
+    exp = left.merge(right, on="k").groupby("tag").agg(**agg)
+    return got.sort_index(), exp
+
+
+class TestSparseShuffle:
+    """A mapper stores only its non-empty buckets; a reducer gets the
+    mapper's zero-row ``empty`` for every other bucket it reads."""
+
+    def test_one_put_per_nonempty_bucket(self, monkeypatch):
+        """The result equals pandas', and storage gets one put per
+        non-empty bucket plus one marker per mapper."""
+        from repro.core.executor import _BucketMarker
+        from repro.core.operators import dataframe
+        from repro.frontend.session import XSession
+
+        splits, puts = [], []
+        hash_partition = dataframe.hash_partition
+
+        def recording_hash_partition(pdf, on, n, total=None):
+            splits.append((pdf, on, n))
+            return hash_partition(pdf, on, n, total)
+
+        put = StorageService.put
+
+        def recording_put(self, key, payload, *args, **kwargs):
+            puts.append((key, payload))
+            return put(self, key, payload, *args, **kwargs)
+
+        monkeypatch.setattr(dataframe, "hash_partition", recording_hash_partition)
+        monkeypatch.setattr(StorageService, "put", recording_put)
+        sess = XSession(EngineConfig(**STATIC_SHUFFLE_64))
+        got, exp = _sparse_shuffle_query(sess)
+        sess.close()
+        pd.testing.assert_frame_equal(got, exp)
+
+        per_split = [
+            set((pd.util.hash_pandas_object(pdf[on[0]], index=False) % n).tolist())
+            for pdf, on, n in splits
+        ]
+        # the merge's two sides leave different reducers without rows
+        sides = {True: set(), False: set()}
+        for (pdf, on, _n), used in zip(splits, per_split):
+            if on == ["k"]:
+                sides["v" in pdf.columns] |= used
+        assert sides[True] ^ sides[False]
+        markers = [p for _k, p in puts if isinstance(p, _BucketMarker)]
+        buckets = [p for k, p in puts if "::b" in k]
+        assert len(markers) == len(splits) > 2
+        assert len(buckets) == sum(map(len, per_split)) < 64 * len(splits) // 4
+        assert all(len(b) for b in buckets)
+
+    def test_spark_matches_local(self, spark):
+        from repro.frontend.session import XSession
+
+        sess = XSession(EngineConfig(**STATIC_SHUFFLE_64, n_workers=2), spark=spark)
+        got, exp = _sparse_shuffle_query(sess)
+        sess.close()
+        pd.testing.assert_frame_equal(got, exp)
+
+
 _CHARGES_SCRIPT = """
 import json
 from repro.engines import XorbitsEngine

@@ -1,4 +1,7 @@
 """Unit tests for dataframe operator helpers and chunk kernels."""
+import pickle
+
+import cloudpickle
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,9 +12,11 @@ from repro.core.operators.dataframe import (
     _AggFinalize,
     _AggMap,
     _MergeShuffleMap,
+    _RangeSplit,
     _concat_parts,
     _detect_hot_keys,
     hash_partition,
+    _split_by_codes,
     normalize_aggs,
     split_pandas,
 )
@@ -20,6 +25,14 @@ from repro.core.operators.dataframe import (
 def frame(n=100, keys=5, seed=0):
     g = np.random.default_rng(seed)
     return pd.DataFrame({"k": g.integers(0, keys, n), "v": g.random(n)})
+
+
+def _owner(arr):
+    """The ndarray that owns ``arr``'s memory (end of its ``base`` chain)."""
+    arr = np.asarray(arr)
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
 
 
 class TestSplitPandas:
@@ -66,15 +79,82 @@ class TestHashPartition:
         assert sum(len(p) for p in parts.values()) == 300
 
     def test_total_pads_empty_buckets(self):
-        df = frame(100)
+        df = frame(100).assign(
+            s=[f"s{i % 7}" for i in range(100)],
+            c=pd.Categorical([("x", "y")[i % 2] for i in range(100)]),
+        ).set_axis(np.arange(100) * 3).iloc[5:]
         parts = hash_partition(df, ["k"], 2, total=5)
-        assert set(parts) == set(range(5))
-        assert all(len(parts[r]) == 0 for r in (2, 3, 4))
+        # only non-empty buckets are present; `empty` carries the schema
+        assert set(parts) <= {0, 1}
+        assert all(len(p) for p in parts.values())
+        assert sum(len(p) for p in parts.values()) == len(df)
+        empty = parts.empty
+        assert len(empty) == 0
+        assert list(empty.columns) == list(df.columns)
+        pd.testing.assert_series_equal(empty.dtypes, df.dtypes)
+        # a detached copy: it must not keep the mapper's input alive
+        for col in df.columns:
+            assert not np.shares_memory(empty[col].to_numpy(), df[col].to_numpy())
+        for arr in [blk.values for blk in empty._mgr.blocks] + [empty.index.to_numpy()]:
+            assert _owner(arr).size == 0
+        for dumps, loads in ((pickle.dumps, pickle.loads),
+                             (cloudpickle.dumps, cloudpickle.loads)):
+            back = loads(dumps(parts))
+            assert type(back) is type(parts) and set(back) == set(parts)
+            pd.testing.assert_frame_equal(back.empty, empty)
+            for r in parts:
+                pd.testing.assert_frame_equal(back[r], parts[r])
+
+    def test_empty_input_stores_no_bucket(self):
+        parts = hash_partition(frame(10).iloc[:0], ["k"], 4)
+        assert dict(parts) == {}
+        assert list(parts.empty.columns) == ["k", "v"]
 
     def test_single_bucket(self):
         df = frame(50)
         parts = hash_partition(df, ["k"], 1)
         assert len(parts[0]) == 50
+
+
+def _mask_split(df, codes, total):
+    """Reference split: one boolean scan per bucket, empties dropped."""
+    return {r: df.iloc[np.flatnonzero(codes == r)]
+            for r in range(total) if (codes == r).any()}
+
+
+class TestSplitByCodes:
+    """The stable-sort split equals a per-bucket mask scan, row order
+    included, on hash and range shuffles."""
+
+    @staticmethod
+    def _tied(n=400, seed=3):
+        g = np.random.default_rng(seed)
+        # few distinct sort keys: many ties, and the index is shuffled
+        return pd.DataFrame({"key": g.integers(0, 6, n), "v": np.arange(n)},
+                            index=g.permutation(n))
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert list(got) == sorted(want)
+        for r, part in want.items():
+            pd.testing.assert_frame_equal(got[r], part)
+
+    def test_matches_mask_split(self):
+        df = self._tied()
+        codes = df["key"].to_numpy() % 9  # buckets 6..8 stay empty
+        self._assert_same(_split_by_codes(df, codes, 9), _mask_split(df, codes, 9))
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_range_split_matches_mask_split(self, ascending):
+        df = self._tied()
+        bounds = np.array([1, 1, 3, 4, 9])  # a repeated and an unreached bound
+        codes = np.searchsorted(bounds, df["key"].to_numpy(), side="right")
+        if not ascending:
+            codes = len(bounds) - codes
+        got = _RangeSplit(["key"], bounds, ascending).execute_chunk([df], None)
+        self._assert_same(got, _mask_split(df, codes, len(bounds) + 1))
+        assert len(got) < len(bounds) + 1
+        pd.testing.assert_series_equal(got.empty.dtypes, df.dtypes)
 
 
 class TestNormalizeAggs:

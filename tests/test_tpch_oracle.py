@@ -66,6 +66,15 @@ def test_query_matches_oracle(qname, tables_all, engine, spark):
     assert_equivalent(got_sdf, q.sql, **tables)
 
 
+@pytest.mark.parametrize("qname", ["q01", "q02", "q07", "q13"])
+def test_static_shuffle_matches_oracle(qname, tables_all, spark):
+    """The static 64-way shuffle path (dynamic tiling off): with a few
+    mappers split 64 ways, most buckets are empty and are never stored."""
+    eng = XorbitsEngine(band_budget=None, chunk_limit=64_000, dynamic_tiling=False,
+                        static_reduce="shuffle", static_shuffle_partitions=64)
+    test_query_matches_oracle(qname, tables_all, eng, spark)
+
+
 @pytest.mark.parametrize("qname", ["q01", "q03", "q06", "q13", "q18"])
 def test_query_matches_spark_sql(qname, tables_all, engine, spark):
     """Second independent implementation: the same SQL through Catalyst

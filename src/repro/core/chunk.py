@@ -127,10 +127,6 @@ class ChunkMeta:
             meta.dtypes = {c: str(t) for c, t in payload.dtypes.items()}
         return meta
 
-    @property
-    def known_shape(self) -> bool:
-        return self.shape is not None and all(s is not None for s in self.shape)
-
 
 @dataclass(eq=False)
 class ChunkNode:

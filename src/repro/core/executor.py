@@ -11,9 +11,11 @@ Two implementations with identical semantics:
 
 Both meter **real bytes** of **real pandas/NumPy payloads** against
 per-band budgets; exceeding a budget raises
-:class:`repro.storage.SimulatedOOM` (DESIGN.md § 6). Chunk payloads are
-reference-counted against the chunk graph and freed once every consumer
-has run, so the resident set tracks what a real cluster would hold.
+:class:`repro.storage.SimulatedOOM` (DESIGN.md § 6). One reference count
+per chunk key decides its lifetime: pending consumer subtasks, the
+tiler's probe holds and live result handles each hold a reference. A
+payload is stored only while referenced and is freed when its count
+drops to 0, so the resident set tracks what a real cluster would hold.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from repro.storage.service import StorageService
 
 from .chunk import Buckets, ChunkNode, build_chunk_dag, ChunkMeta, payload_nbytes
 from .config import EngineConfig
+from .graph import DAG
 from .meta import MetaService
 from .scheduler import Scheduler, make_bands
 from .subtask import Subtask, build_subtask_graph
@@ -156,7 +159,15 @@ class _BucketMarker:
 
 
 class BaseExecutor:
-    """Shared orchestration: fuse → schedule → run waves → store/free."""
+    """Shared orchestration: fuse → schedule → run waves → store/free.
+
+    ``refs`` is the one table of chunk lifetimes: ``key → count`` of
+    live references. A reference is a pending consumer subtask, the
+    caller's hold on an ``execute`` target, or a probe hold of the tiler
+    (handed to the next ``execute`` as ``release``). A subtask stores an
+    output only while its count is above 0; when a count drops to 0 the
+    key leaves the table and its payload is deleted, unless the engine
+    retains intermediates (``free_intermediates=False``)."""
 
     def __init__(
         self,
@@ -169,19 +180,60 @@ class BaseExecutor:
         self.storage = storage
         self.bands = make_bands(cfg.n_workers, cfg.bands_per_worker)
         self.scheduler = Scheduler(self.bands)
-        self.chunk_band: dict[str, str] = {}
         self.tasks_executed = 0
         self.waves = 0
-        # refcounts persist across execute() calls within one query so
-        # probe-phase chunks are freed once the final graph consumed them
-        self._pinned: set[str] = set()
+        self.refs: dict[str, int] = {}
+
     # -- public --------------------------------------------------------
-    def execute(self, target_chunks: list[ChunkNode], pin_targets: bool = True) -> None:
+    def execute(self, target_chunks: list[ChunkNode],
+                release: Iterable[str] = ()) -> None:
         """Execute every not-yet-stored chunk needed by ``target_chunks``
-        and record metadata; target payloads stay pinned in storage."""
+        and record metadata. The caller gets one reference on each
+        target and drops it with :meth:`decref`. The references in
+        ``release`` are dropped once this call has counted its own
+        consumers. On a raise, every reference this call took or was
+        handed is dropped."""
+        own = [c.key for c in target_chunks]
+        release = list(release)
+        self.incref(own)
+        held: dict[Subtask, list[str]] = {}
+        try:
+            sub_dag, subtasks = build_subtask_graph(
+                self._pending(target_chunks), self.cfg)
+            # each subtask holds its external inputs until it has run
+            held = {s: s.input_keys for s in subtasks}
+            for keys in held.values():
+                self.incref(keys)
+            self.decref(release)
+            release = []
+            self._run_waves(sub_dag, held)
+        except BaseException:
+            self.decref(release + own)
+            raise
+        finally:
+            for keys in held.values():
+                self.decref(keys)
+
+    def incref(self, keys: Iterable[str]) -> None:
+        for k in keys:
+            self.refs[k] = self.refs.get(k, 0) + 1
+
+    def decref(self, keys: Iterable[str]) -> None:
+        for k in keys:
+            self.refs[k] -= 1
+            if self.refs[k] == 0:
+                del self.refs[k]
+                if self.cfg.free_intermediates:
+                    self._delete_chunk(k)
+
+    def fetch(self, chunks: Iterable[ChunkNode]) -> list[Any]:
+        return [self.storage.get(c.key) for c in chunks]
+
+    def _pending(self, target_chunks: list[ChunkNode]) -> DAG[ChunkNode]:
+        """The chunk graph still to run: walk back from the targets,
+        stopping at stored chunks, so an already-materialised result
+        never recomputes its ancestors."""
         dag = build_chunk_dag(target_chunks)
-        # walk back from the targets, stopping at stored chunks, so an
-        # already-materialised result never recomputes its ancestors
         needed: set[str] = set()
         stack = [c for c in target_chunks if not self.storage.has(c.key)]
         while stack:
@@ -194,66 +246,41 @@ class BaseExecutor:
                 if not self.storage.has(i.key) and i.key not in needed
             )
         pending = [c for c in dag.topological_order() if c.key in needed]
-        if not pending:
-            return
         if self.cfg.max_tasks is not None and len(pending) > self.cfg.max_tasks:
             raise SimulatedHang(
                 f"task graph of {len(pending)} nodes exceeds scheduler "
                 f"capacity {self.cfg.max_tasks}"
             )
-        sub_dag_full = dag.subgraph(pending)
-        sub_dag, subtasks = build_subtask_graph(sub_dag_full, self.cfg)
+        return dag.subgraph(pending)
+
+    def _run_waves(self, sub_dag: DAG[Subtask],
+                   held: dict[Subtask, list[str]]) -> None:
+        """Run every subtask in ``held``, a wave of ready ones at a time;
+        each drops its hold on its inputs once its wave has run."""
         assignment = self.scheduler.assign(
             sub_dag,
-            self.chunk_band,
+            # a stored input sits on the band its producer stored it to
+            {k: self.storage.band_of(k)
+             for s in held for k in s.input_keys if self.storage.has(k)},
             lambda k: self.storage.nbytes_of(k) if self.storage.has(k) else 0,
         )
         for s, band in assignment.items():
             s.band = band.name
 
-        targets = {c.key for c in target_chunks}
-        if pin_targets:
-            self._pinned |= targets
-        external = set()
-        for s in subtasks:
-            external.update(s.input_keys)
-        # consumers per chunk key (for freeing): how many distinct
-        # subtasks read each externally-stored chunk
-        consumers: dict[str, int] = {}
-        for s in subtasks:
-            for k in s.input_keys:
-                consumers[k] = consumers.get(k, 0) + 1
-
-        done: set[Subtask] = set()
-        while len(done) < len(subtasks):
+        while held:
             wave = [
-                s
-                for s in subtasks
-                if s not in done
-                and all(p in done for p in sub_dag.predecessors(s))
+                s for s in held
+                if not any(p in held for p in sub_dag.predecessors(s))
             ]
             assert wave, "subtask graph stalled (cycle after fusion?)"
-            specs = [
-                SubtaskSpec(s, s.output_keys(external, self._pinned | targets))
+            # an output is stored only while something references it
+            self._run_wave([
+                SubtaskSpec(s, [c.key for c in s.chunks if c.key in self.refs])
                 for s in wave
-            ]
-            self._run_wave(specs)
-            done.update(wave)
+            ])
             self.waves += 1
-            # free chunks whose consumers have all run (lazy engines
-            # only; eager Modin-style engines retain everything)
             for s in wave:
-                for k in s.input_keys:
-                    consumers[k] -= 1
-                    if (
-                        self.cfg.free_intermediates
-                        and consumers[k] == 0
-                        and k not in self._pinned
-                    ):
-                        self._delete_chunk(k)
-
-    def fetch(self, chunks: Iterable[ChunkNode]) -> list[Any]:
-        return [self.storage.get(c.key) for c in chunks]
+                self.decref(held.pop(s))
 
     def _delete_chunk(self, k: str) -> None:
         if not self.storage.has(k):
@@ -263,10 +290,6 @@ class BaseExecutor:
             for r in payload.buckets:
                 self.storage.delete(_BucketMarker.bucket_key(k, r))
         self.storage.delete(k)
-
-    def unpin(self, keys: Iterable[str]) -> None:
-        for k in keys:
-            self._pinned.discard(k)
 
     # -- wave execution -------------------------------------------------
     def _run_wave(self, specs: list[SubtaskSpec]) -> None:
@@ -321,7 +344,6 @@ class BaseExecutor:
             else:
                 self.storage.put(k, payload, band=band, nbytes=sizes[k])
                 self.meta.put(k, ChunkMeta.from_payload(payload, nbytes=sizes[k]))
-            self.chunk_band[k] = band
 
     def _meter(self, spec: SubtaskSpec, peak_working: int) -> None:
         """Charge the subtask's peak transient working set (inputs +

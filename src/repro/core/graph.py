@@ -8,7 +8,7 @@ topological utilities the tiler, optimizer, and scheduler need.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Generic, Hashable, Iterable, Iterator, TypeVar
+from typing import Generic, Hashable, Iterable, Iterator, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
@@ -38,12 +38,6 @@ class DAG(Generic[N]):
             self._succ[src].append(dst)
             self._pred[dst].append(src)
 
-    def remove_node(self, node: N) -> None:
-        for p in self._pred.pop(node, []):
-            self._succ[p].remove(node)
-        for s in self._succ.pop(node, []):
-            self._pred[s].remove(node)
-
     # -- queries ------------------------------------------------------
     def __contains__(self, node: N) -> bool:
         return node in self._succ
@@ -65,10 +59,6 @@ class DAG(Generic[N]):
 
     def out_degree(self, node: N) -> int:
         return len(self._succ[node])
-
-    def initial_nodes(self) -> list[N]:
-        """Nodes with no predecessors — the paper's "initial subtasks"."""
-        return [n for n in self._succ if not self._pred[n]]
 
     def sink_nodes(self) -> list[N]:
         return [n for n in self._succ if not self._succ[n]]
@@ -119,13 +109,4 @@ class DAG(Generic[N]):
             for s in self._succ[n]:
                 if s in keep:
                     g.add_edge(n, s)
-        return g
-
-    def map_nodes(self, fn: Callable[[N], N]) -> "DAG":
-        g: DAG = DAG()
-        for n in self._succ:
-            g.add_node(fn(n))
-        for n, succs in self._succ.items():
-            for s in succs:
-                g.add_edge(fn(n), fn(s))
         return g

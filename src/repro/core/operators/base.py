@@ -18,7 +18,7 @@ import itertools
 import weakref
 from typing import Any, Generator, Iterable, Optional, Sequence
 
-from ..chunk import ChunkMeta, ChunkNode, new_key
+from ..chunk import ChunkNode
 from ..config import EngineConfig, TileStats
 from ..graph import DAG
 from ..meta import MetaService
@@ -133,15 +133,6 @@ class Operator:
         unknown → require everything."""
         return None
 
-    def new_chunk(
-        self,
-        op: "Operator",
-        inputs: list[ChunkNode],
-        index: tuple = (0, 0),
-        **meta_kw,
-    ) -> ChunkNode:
-        return ChunkNode(op=op, inputs=inputs, index=index, meta=ChunkMeta(**meta_kw))
-
 
 def build_tileable_dag(targets: Iterable[Tileable]) -> DAG[Tileable]:
     dag: DAG[Tileable] = DAG()
@@ -197,9 +188,6 @@ class TileContext:
 
     def nbytes(self, chunks: Iterable[ChunkNode]) -> Optional[int]:
         return self.meta.total_nbytes(chunks)
-
-    def chunk_meta(self, chunk: ChunkNode) -> Optional[ChunkMeta]:
-        return self.meta.get(chunk.key)
 
     def refresh(self, chunks: Iterable[ChunkNode]) -> None:
         for c in chunks:

@@ -49,7 +49,8 @@ class Scheduler:
         """Return subtask → band.
 
         ``chunk_band`` maps already-materialised chunk keys to the name
-        of the band owning them (from the storage service).
+        of the band owning them (from the storage service); each chunk
+        placed here is added to it.
         ``subtask_nbytes(key)`` returns the stored size of a chunk, 0 if
         unknown — used to weigh locality.
         """

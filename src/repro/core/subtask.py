@@ -36,15 +36,6 @@ class Subtask:
     def __hash__(self) -> int:
         return hash(self.key)
 
-    def output_keys(self, external_consumers: set[str], targets: set[str]) -> list[str]:
-        """Chunk keys that must be stored after this subtask: those that
-        other subtasks read, plus requested result chunks."""
-        return [
-            c.key
-            for c in self.chunks
-            if c.key in external_consumers or c.key in targets
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Subtask {self.key} n={len(self.chunks)} band={self.band}>"
 

@@ -12,7 +12,7 @@ the systems in paper Tables I/II.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .chunk import ChunkNode
 from .config import EngineConfig, TileStats
@@ -35,20 +35,38 @@ class GraphTiler:
         self.meta = meta
         self.executor = executor
         self.stats = TileStats()
-        self.probe_keys: set[str] = set()
 
-    def tile(self, targets: Iterable[Tileable]) -> None:
+    def tile(self, targets: Iterable[Tileable]) -> list[str]:
         """Tile every not-yet-tiled tileable reachable from ``targets``
         (idempotent: already-tiled nodes keep their chunks, so repeated
         ``run`` calls on a growing graph reuse earlier work — the
-        "deferred evaluation" usage mode)."""
-        targets = list(targets)
+        "deferred evaluation" usage mode).
+
+        Returns the probe holds: one executor reference per executed
+        probe target, which keeps its payload for the resumed generators
+        and the final graph. The caller hands them to the final
+        ``execute`` as ``release``; on a raise they are dropped here."""
+        holds: list[str] = []
+        try:
+            self._tile(list(targets), holds)
+        except BaseException:
+            self.executor.decref(holds)
+            raise
+        return holds
+
+    def _tile(self, targets: list[Tileable], holds: list[str]) -> None:
         dag = build_tileable_dag(targets)
         if self.cfg.column_pruning:
             stale = apply_pruning(dag)
             if stale:
                 self._invalidate(dag, stale)
         ctx = TileContext(self.cfg, self.meta, self.stats, self.executor.storage)
+
+        def execute_probe(chunks: list[ChunkNode]) -> None:
+            # the switch to execution (Fig. 5a step 2): run the partial
+            # graph; its payloads stay held for the resumed generator
+            self.executor.execute(chunks)
+            holds.extend(c.key for c in chunks)
 
         tiled_ops: set[int] = set()
         for t in dag.topological_order():
@@ -58,7 +76,7 @@ class GraphTiler:
             if id(t.op) in tiled_ops:
                 continue  # multi-output op already tiled via sibling
             tiled_ops.add(id(t.op))
-            chunk_lists = run_tile(t, ctx, self._execute_probe)
+            chunk_lists = run_tile(t, ctx, execute_probe)
             assert len(chunk_lists) == t.op.output_count, (
                 f"{type(t.op).__name__} returned {len(chunk_lists)} chunk "
                 f"lists for {t.op.output_count} outputs"
@@ -76,14 +94,3 @@ class GraphTiler:
             if t.key in invalid or any(i.key in invalid for i in t.inputs):
                 invalid.add(t.key)
                 t.chunks = None
-
-    def _execute_probe(self, chunks: list[ChunkNode]) -> None:
-        """The switch to execution (Fig. 5a step 2): run the partial
-        graph, keep payloads + metadata for the resumed generator."""
-        self.executor.execute(chunks, pin_targets=True)
-        self.probe_keys.update(c.key for c in chunks)
-
-    def release_probes(self, keep: set[str]) -> None:
-        """Unpin probe payloads that the final graph no longer needs."""
-        self.executor.unpin(self.probe_keys - keep)
-        self.probe_keys &= keep

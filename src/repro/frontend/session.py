@@ -7,7 +7,8 @@ service, one executor (local or Spark), and one dynamic tiler.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+import weakref
+from typing import Any, Optional
 
 import pandas as pd
 
@@ -50,11 +51,13 @@ class XSession:
         This is what deferred evaluation calls under ``__repr__`` /
         ``to_pandas`` — users never trigger it explicitly.
         """
-        self.tiler.tile(tileables)
-        all_chunks = [c for t in tileables for c in t.chunks]
-        self.executor.execute(all_chunks, pin_targets=True)
-        keep = {c.key for c in all_chunks}
-        self.tiler.release_probes(keep)
+        holds = self.tiler.tile(tileables)
+        self.executor.execute([c for t in tileables for c in t.chunks], holds)
+        # each target's payloads live as long as its handle does; at
+        # exit there is nothing left to free, and spill files may be gone
+        for t in tileables:
+            drop = weakref.finalize(t, self.executor.decref, [c.key for c in t.chunks])
+            drop.atexit = False
         return [self._fetch(t) for t in tileables]
 
     def _fetch(self, t: Tileable) -> Any:

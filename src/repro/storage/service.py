@@ -133,7 +133,11 @@ class StorageService:
         Pair with :meth:`release_transient`."""
         u = self.band_usage(band)
         u.transient += nbytes
-        self._rebalance(band, "(transient working set)")
+        try:
+            self._rebalance(band, "(transient working set)")
+        except SimulatedOOM:
+            u.transient -= nbytes  # the subtask never ran: undo its charge
+            raise
 
     def release_transient(self, band: str, nbytes: int) -> None:
         u = self.band_usage(band)
@@ -182,6 +186,9 @@ class StorageService:
 
     def nbytes_of(self, key: str) -> int:
         return self._entries[key].nbytes
+
+    def band_of(self, key: str) -> str:
+        return self._entries[key].band
 
     def delete(self, key: str) -> None:
         entry = self._entries.pop(key, None)

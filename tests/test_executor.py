@@ -119,6 +119,21 @@ class TestMemoryModel:
         out = ew(lambda d: d, src)
         ex.execute([out])  # no raise
 
+    def test_oom_query_leaves_band_free(self):
+        """A subtask whose working set OOMs never ran, so its charge is
+        rolled back and a tiny query in the same session still fits."""
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+
+        sess = XSession(EngineConfig(band_memory_limit=4 << 20, bands_per_worker=1))
+        big = xpd.from_pandas(frame(400_000), sess)  # one ~6 MiB chunk
+        with pytest.raises(SimulatedOOM, match="transient working set"):
+            big[big["a"] > 2].to_pandas()
+        small = xpd.from_pandas(frame(3), sess)
+        assert len(small[small["a"] >= 0].to_pandas()) == 3
+        assert sess.storage.bands["w0-n0"].transient == 0
+        sess.close()
+
     def test_hang_model(self):
         ex = make_executor(max_tasks=3)
         srcs = [source_chunk(frame(10, seed=i)) for i in range(10)]
@@ -241,14 +256,19 @@ class TestSubtaskSpec:
                 assert (got_sizes, got_peak) == (want_sizes, want_peak)
 
 
+def _join_frames(n=4000):
+    g = np.random.default_rng(0)
+    left = pd.DataFrame({"k": g.integers(0, 50, n), "v": g.random(n)})
+    right = pd.DataFrame({"k": np.arange(50), "w": np.arange(50.0)})
+    return left, right
+
+
 def _shuffle_merge_waves(cfg):
     """Run a shuffle merge; return its recorded waves and the session."""
     from repro.frontend import dataframe as xpd
     from repro.frontend.session import XSession
 
-    g = np.random.default_rng(0)
-    left = pd.DataFrame({"k": g.integers(0, 50, 4000), "v": g.random(4000)})
-    right = pd.DataFrame({"k": np.arange(50), "w": np.arange(50.0)})
+    left, right = _join_frames()
     sess = XSession(cfg)
     waves = _record_waves(sess.executor)
     lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
@@ -430,3 +450,166 @@ def test_schedule_independent_of_hash_seed():
     assert runs[0][0] == "ok"
     assert sum(runs[0][2]) > 0  # the budget forces spills
     assert runs[0] == runs[1]
+
+
+def _state(sess):
+    """What a query must leave as it found it: the refcount table, the
+    stored keys with their sizes, and every band's metered bytes (a band
+    first used by the query shows up at zero)."""
+    st = sess.storage
+    return (
+        dict(sess.executor.refs),
+        {k: st.nbytes_of(k) for k in st.keys()},
+        {b: (u.resident, u.transient) for b, u in st.bands.items()
+         if u.resident or u.transient},
+    )
+
+
+class TestLifetimes:
+    """One refcount table decides which chunks are stored and when they
+    are freed: pending consumers, probe holds and live result handles."""
+
+    JOIN_CFG = dict(chunk_limit=16_000, broadcast_threshold=0, n_workers=2)
+
+    def test_tpch_session_keeps_only_live_handles(self):
+        import gc
+
+        from repro.core.executor import _BucketMarker
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+        from repro.synth_data import tpch_tables_pdf
+        from repro.workloads.tpch import QUERIES
+
+        sess = XSession(EngineConfig(chunk_limit=500_000, tree_reduce_threshold=250_000,
+                                     broadcast_threshold=250_000, n_workers=2))
+        frames = {n: xpd.from_pandas(p, sess) for n, p in tpch_tables_pdf(0.02).items()}
+        kept, ran = {}, []
+        for q in sorted(QUERIES):
+            h = QUERIES[q].fn(frames)
+            if hasattr(h, "execute"):  # a few queries end in pandas
+                h.execute()
+                ran.append(q)
+                if q in ("q03", "q09", "q18"):
+                    kept[q] = h
+            del h
+        assert len(ran) >= 18 and len(kept) == 3
+        want = set()
+        for h in kept.values():
+            for c in h._t.chunks:
+                want.add(c.key)
+                p = sess.storage.get(c.key)
+                if isinstance(p, _BucketMarker):
+                    want.update(_BucketMarker.bucket_key(c.key, r) for r in p.buckets)
+        assert set(sess.storage.keys()) == want
+        assert set(sess.executor.refs) == {c.key for h in kept.values() for c in h._t.chunks}
+        assert sess.storage.spill_count == 0
+        del h, p
+        kept.clear()
+        gc.collect()
+        assert sess.storage.keys() == [] and sess.executor.refs == {}
+        assert all(u.resident == 0 for u in sess.storage.bands.values())
+        sess.close()
+
+    def test_executed_handle_is_reused(self, monkeypatch):
+        from repro.core import executor
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+
+        ran = []
+        run = executor.run_subtask
+
+        def recording_run(spec, *args):
+            ran.extend(c.key for c in spec.chunks)
+            return run(spec, *args)
+
+        monkeypatch.setattr(executor, "run_subtask", recording_run)
+        left, right = _join_frames()
+        sess = XSession(EngineConfig(**self.JOIN_CFG))
+        lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
+        df = lf[lf["v"] < 0.5].merge(rf, on="k")
+        df.execute()
+        mine = {c.key for c in df._t.chunks}
+        assert mine <= set(ran) and mine <= set(sess.storage.keys())
+        ran.clear()
+        got = df.groupby("k").agg({"w": "sum"}).to_pandas()
+        assert ran and not mine & set(ran)
+        exp = left[left["v"] < 0.5].merge(right, on="k").groupby("k").agg({"w": "sum"})
+        pd.testing.assert_frame_equal(got.sort_index(), exp, check_dtype=False)
+        sess.close()
+
+    @staticmethod
+    def _held_session(**cfg_kw):
+        """A session holding one executed handle, and a query to fail."""
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+
+        left, right = _join_frames()
+        sess = XSession(EngineConfig(**cfg_kw))
+        lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
+        held = rf[rf["w"] > 10.0]
+        held.execute()
+        query = lf.merge(rf, on="k").groupby("k").agg({"w": "sum"})
+        return sess, held, query
+
+    @pytest.mark.parametrize("frac", [0.0, 0.3, 0.6, 1.0])
+    def test_kernel_raise_restores_state(self, monkeypatch, frac):
+        from repro.core import executor
+
+        dry, _held, query = self._held_session(**self.JOIN_CFG)
+        n_before = dry.executor.tasks_executed
+        query.execute()  # a dry run counts the query's subtasks
+        n = dry.executor.tasks_executed - n_before
+        dry.close()
+        sess, held, query = self._held_session(**self.JOIN_CFG)
+        before = _state(sess)
+        fail_at = min(int(frac * n), n - 1)
+        calls = []
+        run = executor.run_subtask
+
+        def failing_run(*args):
+            calls.append(1)
+            if len(calls) > fail_at:
+                raise RuntimeError("kernel failed")
+            return run(*args)
+
+        monkeypatch.setattr(executor, "run_subtask", failing_run)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            query.execute()
+        assert len(calls) == fail_at + 1
+        assert _state(sess) == before
+        monkeypatch.setattr(executor, "run_subtask", run)
+        assert len(query.to_pandas()) == 50  # the session still works
+        del query
+        assert _state(sess) == before
+        sess.close()
+
+    def test_mid_query_oom_restores_state(self):
+        # no spill, so every stored chunk stays resident and the band
+        # bytes before and after compare exactly
+        sess, held, query = self._held_session(
+            **self.JOIN_CFG, band_memory_limit=60_000, allow_spill=False)
+        before = _state(sess)
+        n = sess.executor.tasks_executed
+        with pytest.raises(SimulatedOOM):
+            query.execute()
+        assert sess.executor.tasks_executed > n + 2  # it failed mid-query
+        assert _state(sess) == before
+        sess.close()
+
+    def test_eager_policy_keeps_every_stored_chunk(self, monkeypatch):
+        stored = []
+        put = StorageService.put
+
+        def recording_put(self, key, payload, *args, **kwargs):
+            stored.append(key)
+            return put(self, key, payload, *args, **kwargs)
+
+        monkeypatch.setattr(StorageService, "put", recording_put)
+        sess, held, query = self._held_session(**self.JOIN_CFG,
+                                               free_intermediates=False)
+        query.execute()
+        del held, query
+        assert len(stored) > 20
+        assert set(sess.storage.keys()) == set(stored)
+        assert sess.executor.refs == {}
+        sess.close()

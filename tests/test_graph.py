@@ -30,13 +30,6 @@ class TestConstruction:
         assert g.successors("a") == ["b"]
         assert g.in_degree("b") == 1
 
-    def test_remove_node(self):
-        g = chain(3)
-        g.remove_node(1)
-        assert 1 not in g
-        assert g.successors(0) == []
-        assert g.predecessors(2) == []
-
     def test_len_and_nodes(self):
         g = chain(5)
         assert len(g) == 5
@@ -49,7 +42,7 @@ class TestQueries:
         g.add_edge("a", "c")
         g.add_edge("b", "c")
         g.add_edge("c", "d")
-        assert sorted(g.initial_nodes()) == ["a", "b"]
+        assert [n for n in g.nodes() if g.in_degree(n) == 0] == ["a", "b"]
         assert g.sink_nodes() == ["d"]
 
     def test_degrees(self):
@@ -107,9 +100,5 @@ class TestTopology:
         sub = g.subgraph([1, 2, 3])
         assert len(sub) == 3
         assert sub.successors(1) == [2]
-        assert sub.initial_nodes() == [1]
-
-    def test_map_nodes(self):
-        g = chain(3)
-        g2 = g.map_nodes(lambda n: n * 10)
-        assert g2.topological_order() == [0, 10, 20]
+        assert sub.predecessors(1) == []
+        assert [n for n in sub.nodes() if sub.in_degree(n) == 0] == [1]

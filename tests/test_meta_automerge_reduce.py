@@ -55,11 +55,6 @@ class TestMetaService:
         m.clear()
         assert not m.has("k")
 
-    def test_known_shape(self):
-        assert ChunkMeta(shape=(3, 2)).known_shape
-        assert not ChunkMeta(shape=None).known_shape
-        assert not ChunkMeta(shape=(None, 2)).known_shape
-
 
 def ctx_with(cfg=None, sizes=None):
     ctx = TileContext(cfg or EngineConfig(), MetaService())

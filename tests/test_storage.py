@@ -147,6 +147,14 @@ class TestOOM:
         assert exc.value.band == "b0"
         assert exc.value.resident == 20_000
 
+    def test_failed_charge_is_rolled_back(self):
+        s = StorageService(band_memory_limit=10_000)
+        with pytest.raises(SimulatedOOM):
+            s.charge_transient("b0", 20_000)
+        assert s.band_usage("b0").transient == 0
+        s.charge_transient("b0", 5_000)  # the band is free again
+        s.release_transient("b0", 5_000)
+
     def test_stored_chunks_spill_instead_of_oom(self):
         s = StorageService(band_memory_limit=50_000)
         for i in range(10):

@@ -65,13 +65,6 @@ class TestSubtask:
         assert s.input_keys == [ext.key]
         assert s.member_keys == {a.key, b.key}
 
-    def test_output_keys(self):
-        a = node()
-        b = node(inputs=[a])
-        s = Subtask(chunks=[a, b])
-        assert s.output_keys({a.key}, {b.key}) == [a.key, b.key]
-        assert s.output_keys(set(), {b.key}) == [b.key]
-
     def test_build_graph_chain_fused(self):
         a = node(op=Ew())
         b = node(op=Ew(), inputs=[a])

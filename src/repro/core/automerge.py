@@ -9,18 +9,7 @@ keeping the graph small without overwhelming a single worker's memory.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .chunk import ChunkNode
-
-
-def _est_nbytes(ctx, chunk: ChunkNode) -> Optional[int]:
-    m = ctx.meta.get(chunk.key)
-    if m is not None and m.nbytes is not None:
-        return m.nbytes
-    if chunk.meta.nbytes is not None:
-        return chunk.meta.nbytes
-    return None
 
 
 def plan_merge_groups(
@@ -28,15 +17,15 @@ def plan_merge_groups(
 ) -> list[list[ChunkNode]]:
     """Greedily pack adjacent chunks into merge groups.
 
-    Sizes come from the meta service when the chunk has executed
-    (dynamic tiling), else from planning hints; unknown sizes fall back
-    to the mean of known ones so a fully-unknown level still groups by
-    ``max_group`` alone.
+    Sizes are each chunk's ``meta.nbytes``: observed when the chunk has
+    executed (dynamic tiling), else a planning hint; unknown sizes fall
+    back to the mean of known ones so a fully-unknown level still groups
+    by ``max_group`` alone.
     """
     if not chunks:
         return []
     limit = ctx.cfg.chunk_limit
-    sizes = [_est_nbytes(ctx, c) for c in chunks]
+    sizes = [c.meta.nbytes for c in chunks]
     known = [s for s in sizes if s is not None]
     fill = (sum(known) / len(known)) if known else None
     groups: list[list[ChunkNode]] = []

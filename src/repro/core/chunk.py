@@ -108,19 +108,27 @@ def payload_shape(payload: Any) -> Optional[tuple]:
 
 @dataclass
 class ChunkMeta:
-    """Execution metadata recorded into the meta service (Section IV-B:
-    "shape, columns, dtype, etc.")."""
+    """Chunk metadata (Section IV-B: "shape, columns, dtype, etc.").
+
+    ``observed`` marks what execution recorded: the executor writes it
+    onto the chunk's node when it stores the payload, so it lives as
+    long as the graph that holds the chunk. Metadata without it is a
+    tile-time hint (a source's exact size, a shape copied from an
+    input); decisions that need execution's word ask for ``observed``."""
 
     shape: Optional[tuple] = None
     nbytes: Optional[int] = None
     columns: Optional[list] = None
     dtypes: Optional[dict] = None
+    observed: bool = False
 
     @classmethod
-    def from_payload(cls, payload: Any, nbytes: Optional[int] = None) -> "ChunkMeta":
+    def from_payload(cls, payload: Any, nbytes: Optional[int] = None,
+                     observed: bool = False) -> "ChunkMeta":
         meta = cls(
             shape=payload_shape(payload),
             nbytes=nbytes if nbytes is not None else payload_nbytes(payload),
+            observed=observed,
         )
         if isinstance(payload, pd.DataFrame):
             meta.columns = list(payload.columns)
@@ -143,9 +151,6 @@ class ChunkNode:
     index: tuple = (0, 0)
     key: str = field(default_factory=new_key)
     meta: ChunkMeta = field(default_factory=ChunkMeta)
-    # Which output of a multi-output operator this chunk is (e.g. TSQR
-    # yields Q and R chunks from the same op instance).
-    out_slot: int = 0
 
     def __hash__(self) -> int:
         return hash(self.key)
@@ -154,6 +159,17 @@ class ChunkNode:
         stage = getattr(self.op, "stage", None)
         name = type(self.op).__name__ + (f"::{stage}" if stage else "")
         return f"<Chunk {self.key} {name} idx={self.index}>"
+
+
+def estimate_nbytes(chunks: list[ChunkNode]) -> Optional[int]:
+    """Estimated total bytes of ``chunks``: exact for the observed ones,
+    their mean for the rest; ``None`` when none has been observed.
+    Hints never count, so a size is extrapolated from execution only."""
+    sizes = [c.meta.nbytes for c in chunks if c.meta.observed]
+    if not sizes:
+        return None
+    mean = sum(sizes) / len(sizes)
+    return int(sum(sizes) + mean * (len(chunks) - len(sizes)))
 
 
 def build_chunk_dag(result_chunks: list[ChunkNode]):

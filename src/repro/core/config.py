@@ -83,6 +83,7 @@ class TileStats:
 
     probe_executions: int = 0
     yields: int = 0
-    reduce_choices: dict = field(default_factory=dict)  # op key -> "tree"|"shuffle"
-    merge_choices: dict = field(default_factory=dict)  # op key -> "broadcast"|"shuffle"|"skew"
-    auto_merges: int = 0
+    # decision records, one per op instance: keyed by the tiled
+    # tileable's key, then the op and its keys
+    reduce_choices: dict = field(default_factory=dict)  # -> "tree"|"shuffle"
+    merge_choices: dict = field(default_factory=dict)  # -> "broadcast"|"shuffle"|"skew"

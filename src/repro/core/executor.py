@@ -16,6 +16,8 @@ per chunk key decides its lifetime: pending consumer subtasks, the
 tiler's probe holds and live result handles each hold a reference. A
 payload is stored only while referenced and is freed when its count
 drops to 0, so the resident set tracks what a real cluster would hold.
+Storing a payload writes its observed :class:`ChunkMeta` onto the
+chunk's node, where the resumed ``tile`` generators read it.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from repro.storage.service import StorageService
 from .chunk import Buckets, ChunkNode, build_chunk_dag, ChunkMeta, payload_nbytes
 from .config import EngineConfig
 from .graph import DAG
-from .meta import MetaService
 from .scheduler import Scheduler, make_bands
 from .subtask import Subtask, build_subtask_graph
 
@@ -98,16 +99,12 @@ def run_subtask(
 
 
 class TaskChunk(NamedTuple):
-    """One member chunk as a worker sees it: the fields an op's
-    ``execute_chunk`` may read, with its inputs named by key. Unlike a
-    :class:`ChunkNode` it holds no upstream nodes, so pickling it never
-    reaches back into the chunk graph."""
+    """One member chunk as a worker sees it: its key, its op and its
+    inputs' keys. Unlike a :class:`ChunkNode` it holds no upstream nodes
+    or metadata, so pickling it never reaches back into the chunk graph."""
 
     key: str
     op: Any
-    index: tuple
-    meta: ChunkMeta
-    out_slot: int
     input_keys: tuple
 
 
@@ -120,8 +117,7 @@ class SubtaskSpec:
     def __init__(self, subtask: Subtask, store_keys: list[str]) -> None:
         self.key = subtask.key
         self.chunks = [
-            TaskChunk(c.key, c.op, c.index, c.meta, c.out_slot,
-                      tuple(i.key for i in c.inputs))
+            TaskChunk(c.key, c.op, tuple(i.key for i in c.inputs))
             for c in subtask.chunks
         ]
         self.input_keys = subtask.input_keys
@@ -143,14 +139,14 @@ class _BucketMarker:
     buckets themselves live as individual entries (``key::b<r>``), one
     entry per *non-empty* bucket, so a reducer fetches — and the spill
     layer moves — only its own bucket, exactly the paper's
-    storage-service shuffle. The marker carries the schema: ``empty``,
-    the zero-row frame a reducer gets for a bucket that was not stored.
-    Storing the whole dict instead makes every reducer page in every
-    mapper's full output: O(maps × reducers) spill churn at scale
-    (measured: 766 s vs ~1 s on one TPC-H-lite query)."""
+    storage-service shuffle. The executor records which buckets were
+    stored (``BaseExecutor.buckets``); the marker carries the schema:
+    ``empty``, the zero-row frame a reducer gets for a bucket that was
+    not stored. Storing the whole dict instead makes every reducer page
+    in every mapper's full output: O(maps × reducers) spill churn at
+    scale (measured: 766 s vs ~1 s on one TPC-H-lite query)."""
 
-    def __init__(self, buckets: list[int], empty: Any) -> None:
-        self.buckets = buckets
+    def __init__(self, empty: Any) -> None:
         self.empty = empty
 
     @staticmethod
@@ -167,46 +163,42 @@ class BaseExecutor:
     (handed to the next ``execute`` as ``release``). A subtask stores an
     output only while its count is above 0; when a count drops to 0 the
     key leaves the table and its payload is deleted, unless the engine
-    retains intermediates (``free_intermediates=False``)."""
+    retains intermediates (``free_intermediates=False``). ``buckets``
+    maps each stored shuffle mapper to the ids of its stored buckets."""
 
-    def __init__(
-        self,
-        cfg: EngineConfig,
-        meta: MetaService,
-        storage: StorageService,
-    ) -> None:
+    def __init__(self, cfg: EngineConfig, storage: StorageService) -> None:
         self.cfg = cfg
-        self.meta = meta
         self.storage = storage
         self.bands = make_bands(cfg.n_workers, cfg.bands_per_worker)
         self.scheduler = Scheduler(self.bands)
         self.tasks_executed = 0
         self.waves = 0
         self.refs: dict[str, int] = {}
+        self.buckets: dict[str, list[int]] = {}
 
     # -- public --------------------------------------------------------
     def execute(self, target_chunks: list[ChunkNode],
                 release: Iterable[str] = ()) -> None:
         """Execute every not-yet-stored chunk needed by ``target_chunks``
-        and record metadata. The caller gets one reference on each
-        target and drops it with :meth:`decref`. The references in
-        ``release`` are dropped once this call has counted its own
-        consumers. On a raise, every reference this call took or was
-        handed is dropped."""
+        and record their observed metadata on their nodes. The caller gets
+        one reference on each target and drops it with :meth:`decref`.
+        The references in ``release`` are dropped once this call has
+        counted its own consumers. On a raise, every reference this call
+        took or was handed is dropped."""
         own = [c.key for c in target_chunks]
         release = list(release)
         self.incref(own)
         held: dict[Subtask, list[str]] = {}
         try:
-            sub_dag, subtasks = build_subtask_graph(
-                self._pending(target_chunks), self.cfg)
+            pending = self._pending(target_chunks)
+            sub_dag, subtasks = build_subtask_graph(pending, self.cfg)
             # each subtask holds its external inputs until it has run
             held = {s: s.input_keys for s in subtasks}
             for keys in held.values():
                 self.incref(keys)
             self.decref(release)
             release = []
-            self._run_waves(sub_dag, held)
+            self._run_waves(sub_dag, held, {c.key: c for c in pending.nodes()})
         except BaseException:
             self.decref(release + own)
             raise
@@ -253,10 +245,11 @@ class BaseExecutor:
             )
         return dag.subgraph(pending)
 
-    def _run_waves(self, sub_dag: DAG[Subtask],
-                   held: dict[Subtask, list[str]]) -> None:
+    def _run_waves(self, sub_dag: DAG[Subtask], held: dict[Subtask, list[str]],
+                   nodes: dict[str, ChunkNode]) -> None:
         """Run every subtask in ``held``, a wave of ready ones at a time;
-        each drops its hold on its inputs once its wave has run."""
+        each drops its hold on its inputs once its wave has run. ``nodes``
+        are the pending graph's chunk nodes by key."""
         assignment = self.scheduler.assign(
             sub_dag,
             # a stored input sits on the band its producer stored it to
@@ -277,26 +270,23 @@ class BaseExecutor:
             self._run_wave([
                 SubtaskSpec(s, [c.key for c in s.chunks if c.key in self.refs])
                 for s in wave
-            ])
+            ], nodes)
             self.waves += 1
             for s in wave:
                 self.decref(held.pop(s))
 
     def _delete_chunk(self, k: str) -> None:
-        if not self.storage.has(k):
-            return
-        payload = self.storage.get(k)
-        if isinstance(payload, _BucketMarker):
-            for r in payload.buckets:
-                self.storage.delete(_BucketMarker.bucket_key(k, r))
+        for r in self.buckets.pop(k, ()):
+            self.storage.delete(_BucketMarker.bucket_key(k, r))
         self.storage.delete(k)
 
     # -- wave execution -------------------------------------------------
-    def _run_wave(self, specs: list[SubtaskSpec]) -> None:
+    def _run_wave(self, specs: list[SubtaskSpec],
+                  nodes: dict[str, ChunkNode]) -> None:
         """Run one wave: each subtask's result is metered, then stored."""
         for spec, (outputs, sizes, peak) in zip(specs, self._run_specs(specs)):
             self._meter(spec, peak)
-            self._store_outputs(spec, outputs, sizes)
+            self._store_outputs(spec, outputs, sizes, nodes)
             self.tasks_executed += 1
 
     def _run_specs(self, specs: list[SubtaskSpec]) -> Iterator[tuple]:
@@ -318,7 +308,7 @@ class BaseExecutor:
             if isinstance(payload, _BucketMarker):
                 keys = {
                     r: _BucketMarker.bucket_key(k, r)
-                    for r in needed.intersection(payload.buckets)
+                    for r in needed.intersection(self.buckets[k])
                 }
                 inputs[k] = dict.fromkeys(needed, payload.empty)
                 inputs[k].update((r, self.storage.get(bk)) for r, bk in keys.items())
@@ -329,21 +319,26 @@ class BaseExecutor:
         return inputs, sizes
 
     def _store_outputs(
-        self, spec: SubtaskSpec, outputs: dict[str, Any], sizes: dict[str, Any]
+        self, spec: SubtaskSpec, outputs: dict[str, Any], sizes: dict[str, Any],
+        nodes: dict[str, ChunkNode],
     ) -> None:
+        """Store each output and write its observed metadata onto its node
+        in the pending graph (never onto a fused node, which shares only
+        its tail's key)."""
         band = spec.band or "w0-n0"
         for k, payload in outputs.items():
             if isinstance(payload, Buckets):
                 # shuffle mapper output: store buckets individually
+                self.buckets[k] = sorted(payload)
                 for r, blk in payload.items():
                     self.storage.put(_BucketMarker.bucket_key(k, r), blk,
                                      band=band, nbytes=sizes[k][r])
-                self.storage.put(k, _BucketMarker(sorted(payload), payload.empty),
-                                 band=band, nbytes=64)
-                self.meta.put(k, ChunkMeta(nbytes=sum(sizes[k].values())))
+                self.storage.put(k, _BucketMarker(payload.empty), band=band, nbytes=64)
+                meta = ChunkMeta(nbytes=sum(sizes[k].values()), observed=True)
             else:
                 self.storage.put(k, payload, band=band, nbytes=sizes[k])
-                self.meta.put(k, ChunkMeta.from_payload(payload, nbytes=sizes[k]))
+                meta = ChunkMeta.from_payload(payload, nbytes=sizes[k], observed=True)
+            nodes[k].meta = meta
 
     def _meter(self, spec: SubtaskSpec, peak_working: int) -> None:
         """Charge the subtask's peak transient working set (inputs +
@@ -368,8 +363,8 @@ class SparkExecutor(BaseExecutor):
     """Wave-per-Spark-job executor over ``sc.parallelize`` (RDD layer —
     justification in DESIGN.md § 2)."""
 
-    def __init__(self, spark, cfg, meta, storage) -> None:
-        super().__init__(cfg, meta, storage)
+    def __init__(self, spark, cfg, storage) -> None:
+        super().__init__(cfg, storage)
         self.spark = spark
 
     def _run_specs(self, specs: list[SubtaskSpec]) -> Iterator[tuple]:

@@ -87,18 +87,6 @@ class DAG(Generic[N]):
     def reverse_topological_order(self) -> list[N]:
         return list(reversed(self.topological_order()))
 
-    def ancestors(self, nodes: Iterable[N]) -> set[N]:
-        """All transitive predecessors of ``nodes`` (nodes included)."""
-        seen: set[N] = set()
-        stack = list(nodes)
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(self._pred[n])
-        return seen
-
     def subgraph(self, nodes: Iterable[N]) -> "DAG[N]":
         """The subgraph induced by ``nodes``, walked in the caller's order
         (not a set's), so tie-breaks never depend on the hash seed."""

@@ -7,8 +7,9 @@ Every Xorbits API is internally an operator implementing three methods:
 * ``tile`` — expand the node into **chunk graph** nodes. ``tile`` is a
   *generator*: when it needs execution metadata that is missing, it
   ``yield``s the chunks to run (paper Fig. 5b); the dynamic tiler
-  executes them, records metadata in the meta service, and resumes the
-  generator at the yield point. Static operators simply never yield.
+  executes them, which records observed metadata on those chunk nodes
+  (``chunk.meta.observed``), and resumes the generator at the yield
+  point. Static operators simply never yield.
 * ``execute_chunk`` — run one chunk's kernel on the single-node backend
   (pandas / NumPy), given the input payloads.
 """
@@ -21,7 +22,6 @@ from typing import Any, Generator, Iterable, Optional, Sequence
 from ..chunk import ChunkNode
 from ..config import EngineConfig, TileStats
 from ..graph import DAG
-from ..meta import MetaService
 
 _tileable_counter = itertools.count()
 
@@ -30,8 +30,8 @@ class Tileable:
     """A node of the tileable graph: the logical result of one operator.
 
     ``shape_hint`` etc. are planning-time hints only; authoritative
-    metadata comes from the meta service after execution (the whole point
-    of dynamic tiling is that hints can be wrong or absent).
+    metadata is what execution records on the chunk nodes (the whole
+    point of dynamic tiling is that hints can be wrong or absent).
     """
 
     def __init__(
@@ -151,22 +151,22 @@ def build_tileable_dag(targets: Iterable[Tileable]) -> DAG[Tileable]:
 
 
 class TileContext:
-    """Everything an operator's ``tile`` needs: config, the meta service,
-    the current op's already-tiled input tileables, probe payloads from
-    the storage service, and tiling statistics."""
+    """Everything an operator's ``tile`` needs: config, the current op's
+    already-tiled input tileables, probe payloads from the storage
+    service, and tiling statistics. ``key`` is the tileable being tiled:
+    it names the op's decision records."""
 
     def __init__(
         self,
         cfg: EngineConfig,
-        meta: MetaService,
         stats: Optional[TileStats] = None,
         storage: Any = None,
     ) -> None:
         self.cfg = cfg
-        self.meta = meta
         self.stats = stats or TileStats()
         self.storage = storage
         self.inputs: list[Tileable] = []  # set by run_tile per op
+        self.key = ""  # set by run_tile per op
 
     def input_chunks(self, slot: int = 0) -> list[ChunkNode]:
         """Chunks of the current op's ``slot``-th input tileable."""
@@ -182,28 +182,18 @@ class TileContext:
             return None
         return self.storage.get(key)
 
-    # -- metadata helpers used by dynamic operators ---------------------
-    def known(self, chunks: Iterable[ChunkNode]) -> bool:
-        return self.meta.known(chunks)
-
-    def nbytes(self, chunks: Iterable[ChunkNode]) -> Optional[int]:
-        return self.meta.total_nbytes(chunks)
-
-    def refresh(self, chunks: Iterable[ChunkNode]) -> None:
-        for c in chunks:
-            self.meta.update_chunk(c)
-
 
 def run_tile(t: Tileable, ctx: TileContext, execute_cb) -> list[list[ChunkNode]]:
     """Drive the ``tile`` of ``t``'s operator, servicing its yields.
 
     ``execute_cb(chunks)`` must execute the chunks (and any unexecuted
-    ancestors) and record their metadata in the meta service. This is
+    ancestors) and record their metadata on the chunk nodes. This is
     the switch between graph construction and graph execution that the
     paper's Fig. 5a depicts.
     """
     op = t.op
     ctx.inputs = t.inputs
+    ctx.key = t.key
     result = op.tile(ctx)
     if isinstance(result, Generator):
         gen = result
@@ -213,7 +203,6 @@ def run_tile(t: Tileable, ctx: TileContext, execute_cb) -> list[list[ChunkNode]]
                 ctx.stats.yields += 1
                 ctx.stats.probe_executions += len(request)
                 execute_cb(request)
-                ctx.refresh(request)
                 request = gen.send(None)
         except StopIteration as stop:
             result = stop.value

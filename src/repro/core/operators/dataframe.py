@@ -9,8 +9,9 @@ into subtasks.
 Every operator works in two modes:
 
 * **dynamic** (``cfg.dynamic_tiling``): ``tile`` yields probe chunks,
-  reads real metadata from the meta service, and picks the partitioning
-  (auto reduce selection, broadcast vs shuffle merge, skew handling).
+  reads the metadata execution observed on them (``chunk.meta``), and
+  picks the partitioning (auto reduce selection, broadcast vs shuffle
+  merge, skew handling).
 * **static** (baseline simulators, ablations): no yields; partitioning
   comes from planning-time estimates / fixed policies, reproducing the
   failure modes of Table II.
@@ -24,7 +25,8 @@ import numpy as np
 import pandas as pd
 
 from ..automerge import plan_merge_groups
-from ..chunk import Buckets, ChunkMeta, ChunkNode, new_key, payload_nbytes
+from ..chunk import (Buckets, ChunkMeta, ChunkNode, estimate_nbytes, new_key,
+                     payload_nbytes)
 from ..reduce_select import choose_reduce
 from .base import Operator, TileContext
 
@@ -426,8 +428,6 @@ class ConcatChunks(Operator):
     def execute_chunk(self, inputs, chunk):
         if len(inputs) == 1:
             return inputs[0]
-        if all(isinstance(x, pd.Series) for x in inputs):
-            return pd.concat(inputs, axis=self.axis)
         return pd.concat(inputs, axis=self.axis)
 
 
@@ -466,10 +466,10 @@ class ILoc(Operator):
     """Positional row access — the paper's iterative-tiling showcase.
 
     With dynamic tiling, the chunk lengths of the (possibly filtered)
-    input are unknown: we ``yield`` the input chunks, read their real
-    lengths from the meta service, and then attach an ``ILocChunk`` to
-    exactly the chunk(s) containing the requested rows (Fig. 3c:
-    lengths 4, 8, 5 → row 10 lives in chunk 2). Without dynamic tiling
+    input are unknown: we ``yield`` the input chunks, read the real
+    lengths execution recorded on them, and then attach an
+    ``ILocChunk`` to exactly the chunk(s) containing the requested rows
+    (Fig. 3c: lengths 4, 8, 5 → row 10 lives in chunk 2). Without dynamic tiling
     everything is concatenated onto one node first — the baseline
     behaviour that either OOMs or is simply unsupported (Dask).
     """
@@ -491,12 +491,11 @@ class ILoc(Operator):
         if not lengths_known():
             if ctx.cfg.dynamic_tiling:
                 yield in_chunks  # iterative tiling: execute, then resume
-                ctx.refresh(in_chunks)
                 # a chunk may legitimately produce no payload (an empty
                 # shuffle bucket): treat it as zero rows
                 for c in in_chunks:
                     if c.meta.shape is None:
-                        c.meta = ChunkMeta(shape=(0,), nbytes=0)
+                        c.meta.shape = (0,)
             else:
                 # static fallback: single-node concat + iloc
                 gather = ChunkNode(op=ConcatChunks(), inputs=list(in_chunks),
@@ -723,14 +722,12 @@ class GroupByAgg(Operator):
                 for i, c in enumerate(in_chunks[:k])
             ]
             yield probes + list(in_chunks[:k])
-            ctx.refresh(probes)
-            ctx.refresh(in_chunks)
             probe_meta = (probes, in_chunks[:k])
 
         mode, n_reducers, est_out = choose_reduce(
             ctx, in_chunks, probe_meta, algebraic=self.algebraic
         )
-        ctx.stats.reduce_choices[type(self).__name__ + ":" + ",".join(self.keys)] = mode
+        ctx.stats.reduce_choices[f"{ctx.key}:GroupByAgg:{','.join(self.keys)}"] = mode
 
         if mode == "tree":
             maps = []
@@ -747,7 +744,6 @@ class GroupByAgg(Operator):
             level = maps
             while len(level) > cfg.combine_factor:
                 groups = plan_merge_groups(ctx, level, cfg.combine_factor)
-                ctx.stats.auto_merges += sum(1 for g in groups if len(g) > 1)
                 level = [
                     ChunkNode(op=_AggCombine(), inputs=g, index=(i, 0), meta=ChunkMeta())
                     if len(g) > 1 else g[0]
@@ -934,21 +930,18 @@ class Merge(Operator):
         left = ctx.input_chunks(0)
         right = ctx.input_chunks(1)
         lkeys, rkeys = self.kw.left_keys(), self.kw.right_keys()
+        op_key = f"{ctx.key}:merge:{lkeys}/{rkeys}"
 
         est_l = est_r = None
         hot_keys: Optional[frozenset] = None
         hot_bytes = 0
         if cfg.dynamic_tiling:
             k = max(1, cfg.probe_chunks)
-            probes = [c for c in left[:k] if not ctx.meta.has(c.key)] + [
-                c for c in right[:k] if not ctx.meta.has(c.key)
-            ]
+            probes = [c for c in left[:k] + right[:k] if not c.meta.observed]
             if probes:
                 yield probes
-            ctx.refresh(left)
-            ctx.refresh(right)
-            est_l = _estimate_total(ctx, left)
-            est_r = _estimate_total(ctx, right)
+            est_l = estimate_nbytes(left)
+            est_r = estimate_nbytes(right)
             hot_keys, hot_bytes = _detect_hot_keys(ctx, left, right, lkeys, rkeys)
 
         # --- broadcast path -------------------------------------------
@@ -960,7 +953,6 @@ class Merge(Operator):
                 small_side = "left"
             if small_side is not None:
                 big, small = (left, right) if small_side == "right" else (right, left)
-                op_key = f"merge:{lkeys}/{rkeys}"
                 ctx.stats.merge_choices[op_key] = "broadcast"
                 chunks = [
                     ChunkNode(op=_MergeBroadcast(self.kw, small_side),
@@ -978,9 +970,9 @@ class Merge(Operator):
         use_hot = bool(hot_keys) and cfg.dynamic_tiling
         if use_hot:
             hot_buckets = max(1, math.ceil(hot_bytes / cfg.chunk_limit))
-            ctx.stats.merge_choices[f"merge:{lkeys}/{rkeys}"] = "skew"
+            ctx.stats.merge_choices[op_key] = "skew"
         elif cfg.dynamic_tiling:
-            ctx.stats.merge_choices[f"merge:{lkeys}/{rkeys}"] = "shuffle"
+            ctx.stats.merge_choices[op_key] = "shuffle"
         hot_fs = frozenset(hot_keys) if use_hot else None
         # probe side = the preserved/larger side (left for how='left');
         # build side replicates its hot rows to every hot bucket.
@@ -1019,17 +1011,6 @@ class Merge(Operator):
         return [base | lk, base | rk]
 
 
-def _estimate_total(ctx: TileContext, chunks: list[ChunkNode]) -> Optional[int]:
-    """Estimated total bytes of a chunk list: exact where metadata is
-    recorded, mean-extrapolated for the rest."""
-    known = [ctx.meta.get(c.key) for c in chunks]
-    sizes = [m.nbytes for m in known if m is not None and m.nbytes is not None]
-    if not sizes:
-        return None
-    mean = sum(sizes) / len(sizes)
-    return int(sum(sizes) + mean * (len(chunks) - len(sizes)))
-
-
 def _detect_hot_keys(ctx, left, right, lkeys, rkeys):
     """Find join keys whose estimated one-reducer bytes exceed the skew
     limit, from the *executed* probe chunks' real key frequencies."""
@@ -1038,14 +1019,14 @@ def _detect_hot_keys(ctx, left, right, lkeys, rkeys):
     hot: set = set()
     hot_bytes = 0
     for chunks, keys in ((left, lkeys), (right, rkeys)):
-        probed = [c for c in chunks if ctx.meta.has(c.key)]
+        probed = [c for c in chunks if c.meta.observed]
         if not probed:
             continue
         frac = len(probed) / len(chunks)
         counts: dict = {}
         bytes_per_row = None
         for c in probed:
-            m = ctx.meta.get(c.key)
+            m = c.meta
             if m.nbytes and m.shape and m.shape[0]:
                 bytes_per_row = m.nbytes / m.shape[0]
             payload = ctx.probe_payload(c.key)
@@ -1139,11 +1120,10 @@ class SortValues(Operator):
         # shuffle orders on the first key only
         rangeable = not isinstance(self.ascending, (list, tuple))
         if cfg.dynamic_tiling and rangeable:
-            probes = [c for c in in_chunks[: cfg.probe_chunks] if not ctx.meta.has(c.key)]
+            probes = [c for c in in_chunks[: cfg.probe_chunks] if not c.meta.observed]
             if probes:
                 yield probes
-            ctx.refresh(in_chunks)
-            est = _estimate_total(ctx, in_chunks)
+            est = estimate_nbytes(in_chunks)
         if est is None or est <= cfg.chunk_limit or len(in_chunks) == 1:
             out = ChunkNode(op=_SortChunk(self.by, self.ascending),
                             inputs=list(in_chunks), index=(0, 0), meta=ChunkMeta())

@@ -274,7 +274,6 @@ class TensorQR(Operator):
         shapes = [c.meta.shape for c in in_chunks]
         if any(s is None for s in shapes) and ctx.cfg.dynamic_tiling:
             yield in_chunks
-            ctx.refresh(in_chunks)
             shapes = [c.meta.shape for c in in_chunks]
         ncols = shapes[0][1]
         merged: list[ChunkNode] = []

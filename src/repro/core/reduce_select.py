@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .chunk import ChunkNode
+from .chunk import ChunkNode, estimate_nbytes
 
 
 def choose_reduce(
@@ -49,8 +49,8 @@ def choose_reduce(
     est_out = None
     if probe_meta is not None:
         probes, probed_inputs = probe_meta
-        out_bytes = ctx.meta.total_nbytes(probes)
-        in_bytes = ctx.meta.total_nbytes(probed_inputs)
+        out_bytes = estimate_nbytes(probes)
+        in_bytes = estimate_nbytes(probed_inputs)
         if out_bytes is not None and in_bytes:
             ratio = out_bytes / in_bytes
             est_out = int(ratio * _est_in(ctx, in_chunks))
@@ -68,12 +68,6 @@ def _static_n(cfg, in_chunks) -> int:
 
 
 def _est_in(ctx, in_chunks: list[ChunkNode]) -> int:
-    sizes = []
-    for c in in_chunks:
-        m = ctx.meta.get(c.key)
-        if m is not None and m.nbytes is not None:
-            sizes.append(m.nbytes)
-    if not sizes:
-        return len(in_chunks) * ctx.cfg.chunk_limit
-    mean = sum(sizes) / len(sizes)
-    return int(sum(sizes) + mean * (len(in_chunks) - len(sizes)))
+    """Input bytes; with nothing observed, every chunk counts as full."""
+    est = estimate_nbytes(in_chunks)
+    return est if est is not None else len(in_chunks) * ctx.cfg.chunk_limit

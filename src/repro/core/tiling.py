@@ -4,11 +4,11 @@ Walks the tileable graph in topological order and drives every
 operator's ``tile`` generator. When a generator yields chunks — because
 it needs metadata that only execution can supply — the tiler *switches
 from graph construction to graph execution*: it submits the partial
-chunk graph to the executor, records the resulting metadata in the meta
-service, and resumes the generator at the yield point ("iterative
-tiling"). With ``cfg.dynamic_tiling`` off, generators never yield and
-partitioning falls back to static estimates — the baseline behaviour of
-the systems in paper Tables I/II.
+chunk graph to the executor, which records the observed metadata on
+those chunk nodes, and resumes the generator at the yield point
+("iterative tiling"). With ``cfg.dynamic_tiling`` off, generators never
+yield and partitioning falls back to static estimates — the baseline
+behaviour of the systems in paper Tables I/II.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from typing import Iterable
 from .chunk import ChunkNode
 from .config import EngineConfig, TileStats
 from .executor import BaseExecutor
-from .meta import MetaService
 from .operators.base import Tileable, TileContext, build_tileable_dag, run_tile
 from .pruning import apply_pruning
 
@@ -25,14 +24,8 @@ from .pruning import apply_pruning
 class GraphTiler:
     """Tiles a tileable graph into chunks, executing probes on demand."""
 
-    def __init__(
-        self,
-        cfg: EngineConfig,
-        meta: MetaService,
-        executor: BaseExecutor,
-    ) -> None:
+    def __init__(self, cfg: EngineConfig, executor: BaseExecutor) -> None:
         self.cfg = cfg
-        self.meta = meta
         self.executor = executor
         self.stats = TileStats()
 
@@ -60,7 +53,7 @@ class GraphTiler:
             stale = apply_pruning(dag)
             if stale:
                 self._invalidate(dag, stale)
-        ctx = TileContext(self.cfg, self.meta, self.stats, self.executor.storage)
+        ctx = TileContext(self.cfg, self.stats, self.executor.storage)
 
         def execute_probe(chunks: list[ChunkNode]) -> None:
             # the switch to execution (Fig. 5a step 2): run the partial

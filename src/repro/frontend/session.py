@@ -1,9 +1,11 @@
-"""Session: wires the services (task, meta, storage, scheduling) that
+"""Session: wires the services (task, storage, scheduling) that
 "guarantee transition between tiling and execution" (paper Fig. 5).
 
 ``init()`` mirrors ``xorbits.init()``: it creates the default session
-that frontends submit to. A session owns one meta service, one storage
-service, one executor (local or Spark), and one dynamic tiler.
+that frontends submit to. A session owns one storage service, one
+executor (local or Spark), and one dynamic tiler. Chunk metadata has no
+service of its own: execution records it on the chunk nodes, so it lives
+exactly as long as the graph that holds them.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import pandas as pd
 
 from repro.core.config import EngineConfig
 from repro.core.executor import BaseExecutor, LocalExecutor, SparkExecutor
-from repro.core.meta import MetaService
 from repro.core.operators.base import Tileable
 from repro.core.tiling import GraphTiler
 from repro.storage.service import StorageService
@@ -31,18 +32,15 @@ class XSession:
         spark=None,
     ) -> None:
         self.cfg = cfg or EngineConfig()
-        self.meta = MetaService()
         self.storage = StorageService(
             band_memory_limit=self.cfg.band_memory_limit,
             allow_spill=self.cfg.allow_spill,
         )
         if spark is not None:
-            self.executor: BaseExecutor = SparkExecutor(
-                spark, self.cfg, self.meta, self.storage
-            )
+            self.executor: BaseExecutor = SparkExecutor(spark, self.cfg, self.storage)
         else:
-            self.executor = LocalExecutor(self.cfg, self.meta, self.storage)
-        self.tiler = GraphTiler(self.cfg, self.meta, self.executor)
+            self.executor = LocalExecutor(self.cfg, self.storage)
+        self.tiler = GraphTiler(self.cfg, self.executor)
 
     # -- run -----------------------------------------------------------
     def run(self, *tileables: Tileable) -> list[Any]:

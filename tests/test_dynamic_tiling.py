@@ -105,6 +105,15 @@ class TestAutoReduceSelection:
         assert list(sess.stats.reduce_choices.values()) == ["shuffle"]
         assert len(res) == 8000
 
+    def test_same_key_groupbys_keep_two_records(self):
+        sess = session()
+        pdf = pd.DataFrame({"k": np.arange(5000) % 5, "v": np.random.rand(5000)})
+        df = xpd.from_pandas(pdf, sess)
+        sums = df.groupby("k").agg({"v": "sum"}).to_pandas()
+        means = df.groupby("k").agg({"v": "mean"}).to_pandas()
+        assert len(sums) == len(means) == 5
+        assert list(sess.stats.reduce_choices.values()) == ["tree"] * 2
+
     def test_probe_executions_counted(self):
         sess = session()
         pdf = pd.DataFrame({"k": np.arange(5000) % 5, "v": np.random.rand(5000)})
@@ -169,6 +178,52 @@ class TestMergeSelection:
         exp = left.merge(right, on="k", how="left")
         assert len(out) == len(exp)
         assert out["w"].isna().sum() == exp["w"].isna().sum()
+
+    def test_same_key_merges_keep_two_records(self):
+        """Decision records are per op instance: two merges on the same
+        keys in one query leave two choices, not the last one."""
+        sess = session(broadcast_threshold=50_000)
+        big = pd.DataFrame({"k": np.arange(5000) % 50, "v": np.random.rand(5000)})
+        a = pd.DataFrame({"k": np.arange(50), "w": np.random.rand(50)})
+        b = pd.DataFrame({"k": np.arange(50), "x": np.random.rand(50)})
+        out = (
+            xpd.from_pandas(big, sess)
+            .merge(xpd.from_pandas(a, sess), on="k")
+            .merge(xpd.from_pandas(b, sess), on="k")
+            .to_pandas()
+        )
+        assert len(out) == 5000
+        assert list(sess.stats.merge_choices.values()) == ["broadcast"] * 2
+
+    def test_source_hints_are_not_observations(self, monkeypatch):
+        """``from_pandas`` chunks know their exact size at tile time, but
+        only as a hint: the merge still probes them, so hot-key detection
+        sees their payloads."""
+        from repro.core.operators import dataframe as ops
+
+        sess = session(broadcast_threshold=100, chunk_limit=8_000,
+                       skew_key_limit=4_000)
+        lf = xpd.from_pandas(skewed(6000), sess)
+        rf = xpd.from_pandas(pd.DataFrame({"k": np.arange(500),
+                                           "w": np.random.rand(500)}), sess)
+        seen = []
+        detect = ops._detect_hot_keys
+
+        def recording_detect(ctx, left, right, lkeys, rkeys):
+            seen.extend(ctx.probe_payload(c.key) is not None
+                        for c in left + right if c.meta.observed)
+            return detect(ctx, left, right, lkeys, rkeys)
+
+        monkeypatch.setattr(ops, "_detect_hot_keys", recording_detect)
+        out = lf.merge(rf, on="k")
+        out.execute()
+        k = sess.cfg.probe_chunks
+        sources = lf._t.chunks + rf._t.chunks
+        assert all(c.meta.nbytes for c in sources)
+        assert [c.meta.observed for c in lf._t.chunks] == (
+            [True] * k + [False] * (len(lf._t.chunks) - k))
+        assert seen and all(seen)
+        assert list(sess.stats.merge_choices.values()) == ["skew"]
 
     def test_static_merge_correct_but_unprotected(self):
         sess = session(dynamic_tiling=False, chunk_limit=8_000)

@@ -15,7 +15,6 @@ import pytest
 from repro.core.chunk import ChunkMeta, ChunkNode
 from repro.core.config import EngineConfig
 from repro.core.executor import LocalExecutor, SimulatedHang, run_subtask
-from repro.core.meta import MetaService
 from repro.core.operators.base import Operator
 from repro.core.operators.dataframe import DataChunk, Elementwise
 from repro.storage.service import SimulatedOOM, StorageService
@@ -24,7 +23,7 @@ from repro.storage.service import SimulatedOOM, StorageService
 def make_executor(**cfg_kw):
     cfg = EngineConfig(**cfg_kw)
     storage = StorageService(band_memory_limit=cfg.band_memory_limit)
-    return LocalExecutor(cfg, MetaService(), storage)
+    return LocalExecutor(cfg, storage)
 
 
 def source_chunk(df):
@@ -55,9 +54,23 @@ class TestExecution:
         src = source_chunk(frame(50))
         out = ew(lambda d: d[d["a"] > 5], src)
         ex.execute([out])
-        meta = ex.meta.get(out.key)
-        assert meta is not None and meta.shape is not None
+        meta = out.meta
+        assert meta.observed and meta.shape is not None
         assert meta.shape[0] <= 50
+
+    def test_fused_chain_records_meta_on_tail(self):
+        """Operator fusion runs the chain as one node under the tail's
+        key; the observed metadata lands on the tail node itself."""
+        ex = make_executor()
+        src = source_chunk(frame(50))
+        mid = ew(lambda d: d.assign(c=d["a"] * 2), src)
+        tail = ew(lambda d: d[d["c"] > 6], mid)
+        hint = tail.meta
+        ex.execute([tail])
+        assert tail.meta is not hint and tail.meta.observed
+        assert tail.meta.shape == ex.storage.get(tail.key).shape
+        # the chain really was fused: its middle was never stored
+        assert not ex.storage.has(mid.key) and not mid.meta.observed
 
     def test_idempotent_execution(self):
         ex = make_executor()
@@ -189,9 +202,9 @@ def _record_waves(ex):
     waves = []
     run_wave = ex._run_wave
 
-    def recording_run_wave(specs):
+    def recording_run_wave(specs, nodes):
         waves.append([(s, *ex._gather(s)) for s in specs])
-        run_wave(specs)
+        run_wave(specs, nodes)
 
     ex._run_wave = recording_run_wave
     return waves
@@ -497,13 +510,12 @@ class TestLifetimes:
         for h in kept.values():
             for c in h._t.chunks:
                 want.add(c.key)
-                p = sess.storage.get(c.key)
-                if isinstance(p, _BucketMarker):
-                    want.update(_BucketMarker.bucket_key(c.key, r) for r in p.buckets)
+                want.update(_BucketMarker.bucket_key(c.key, r)
+                            for r in sess.executor.buckets.get(c.key, ()))
         assert set(sess.storage.keys()) == want
         assert set(sess.executor.refs) == {c.key for h in kept.values() for c in h._t.chunks}
         assert sess.storage.spill_count == 0
-        del h, p
+        del h
         kept.clear()
         gc.collect()
         assert sess.storage.keys() == [] and sess.executor.refs == {}
@@ -535,6 +547,98 @@ class TestLifetimes:
         assert ran and not mine & set(ran)
         exp = left[left["v"] < 0.5].merge(right, on="k").groupby("k").agg({"w": "sum"})
         pd.testing.assert_frame_equal(got.sort_index(), exp, check_dtype=False)
+        sess.close()
+
+    def test_dropping_handles_frees_metadata(self):
+        """Observed metadata lives on the chunk nodes, so it goes with the
+        query's graph: no cycle collection needed, nothing session-wide."""
+        import gc
+        import weakref
+
+        from repro.core.chunk import build_chunk_dag
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+
+        left, right = _join_frames()
+        sess = XSession(EngineConfig(**self.JOIN_CFG))
+        gc.collect()
+        gc.disable()
+        try:
+            lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
+            out = lf.merge(rf, on="k").groupby("k").agg({"w": "sum"})
+            out.execute()
+            metas = [c.meta for c in build_chunk_dag(out._t.chunks).nodes()
+                     if c.meta.observed]
+            assert len(metas) > len(out._t.chunks)
+            alive = [weakref.ref(m) for m in metas]
+            del lf, rf, out, metas
+            assert [r for r in alive if r() is not None] == []
+        finally:
+            gc.enable()
+        sess.close()
+
+    def test_delete_reads_no_payload(self, monkeypatch):
+        """Freeing a chunk, a shuffle marker with its buckets included,
+        never reads (or reloads) a payload."""
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+
+        left, right = _join_frames()
+        sess = XSession(EngineConfig(**self.JOIN_CFG))
+        deleting, reads, mappers = [], [], []
+        delete, get = sess.executor._delete_chunk, StorageService.get
+
+        def recording_delete(k):
+            if k in sess.executor.buckets:
+                mappers.append(k)
+            deleting.append(k)
+            try:
+                delete(k)
+            finally:
+                deleting.pop()
+
+        def recording_get(storage, key):
+            if deleting:
+                reads.append(key)
+            return get(storage, key)
+
+        monkeypatch.setattr(sess.executor, "_delete_chunk", recording_delete)
+        monkeypatch.setattr(StorageService, "get", recording_get)
+        lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
+        out = lf.merge(rf, on="k").groupby("k").agg({"w": "sum"})
+        out.execute()
+        del out
+        assert mappers and reads == []
+        assert sess.storage.keys() == [] and sess.executor.buckets == {}
+        sess.close()
+
+    def test_graph_on_executed_handle_does_not_reprobe(self, monkeypatch):
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+
+        left, right = _join_frames()
+        sess = XSession(EngineConfig(**self.JOIN_CFG))
+        lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
+        df = lf[lf["v"] < 0.5]
+        df.execute()
+        assert all(c.meta.observed for c in df._t.chunks)
+        targets = []
+        execute = sess.executor.execute
+
+        def recording_execute(chunks, *args):
+            targets.append({c.key for c in chunks})
+            return execute(chunks, *args)
+
+        monkeypatch.setattr(sess.executor, "execute", recording_execute)
+        yields = sess.stats.yields
+        got = df.merge(rf, on="k").to_pandas()
+        # one probe, of the unexecuted side only; then the final graph
+        k = sess.cfg.probe_chunks
+        assert sess.stats.yields == yields + 1
+        assert targets[0] == {c.key for c in rf._t.chunks[:k]}
+        assert not {c.key for c in df._t.chunks} & set().union(*targets)
+        exp = left[left["v"] < 0.5].merge(right, on="k")
+        assert len(got) == len(exp)
         sess.close()
 
     @staticmethod

@@ -52,19 +52,6 @@ class TestQueries:
         assert g.in_degree("c") == 2
         assert g.out_degree("a") == 1
 
-    def test_ancestors(self):
-        g = chain(4)
-        assert g.ancestors([3]) == {0, 1, 2, 3}
-        assert g.ancestors([1]) == {0, 1}
-
-    def test_ancestors_diamond(self):
-        g = DAG()
-        g.add_edge("a", "b")
-        g.add_edge("a", "c")
-        g.add_edge("b", "d")
-        g.add_edge("c", "d")
-        assert g.ancestors(["d"]) == {"a", "b", "c", "d"}
-
 
 class TestTopology:
     def test_topological_order_chain(self):

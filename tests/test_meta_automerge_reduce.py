@@ -1,11 +1,10 @@
-"""Meta service, auto merge grouping, and auto reduce selection."""
+"""Chunk-size estimation, auto merge grouping, and auto reduce selection."""
 import pandas as pd
 import pytest
 
 from repro.core.automerge import plan_merge_groups
-from repro.core.chunk import ChunkMeta, ChunkNode
+from repro.core.chunk import ChunkMeta, ChunkNode, estimate_nbytes
 from repro.core.config import EngineConfig
-from repro.core.meta import MetaService
 from repro.core.operators.base import Operator, TileContext
 from repro.core.reduce_select import choose_reduce
 
@@ -19,48 +18,37 @@ def chunk():
     return ChunkNode(op=NopOp(), inputs=[])
 
 
-class TestMetaService:
-    def test_put_get(self):
-        m = MetaService()
-        m.put("k", ChunkMeta(shape=(10, 2), nbytes=100))
-        assert m.get("k").shape == (10, 2)
-        assert m.has("k")
-        assert not m.has("other")
+def observe(chunks, nbytes):
+    """Record ``nbytes`` on each chunk node as execution would."""
+    for c in chunks:
+        c.meta = ChunkMeta(nbytes=nbytes, observed=True)
 
-    def test_update_chunk(self):
-        m = MetaService()
-        c = chunk()
-        m.put(c.key, ChunkMeta(shape=(5,), nbytes=40))
-        m.update_chunk(c)
-        assert c.meta.shape == (5,)
 
-    def test_total_nbytes(self):
-        m = MetaService()
+def ctx_with(cfg=None):
+    return TileContext(cfg or EngineConfig())
+
+
+class TestEstimate:
+    """One estimator sizes a chunk list from what execution observed."""
+
+    def test_hints_do_not_count(self):
+        # a tile-time hint (exact source size, copied shape) is no
+        # observation: with nothing observed there is no estimate
+        cs = [ChunkNode(op=NopOp(), inputs=[], meta=ChunkMeta(shape=(3,), nbytes=10))
+              for _ in range(3)]
+        assert estimate_nbytes(cs) is None
+
+    def test_extrapolates_from_observed_only(self):
+        cs = [chunk() for _ in range(4)]
+        observe(cs[:2], 10)
+        cs[2].meta = ChunkMeta(nbytes=1_000)  # hint: ignored, filled by mean
+        assert estimate_nbytes(cs) == 40
+
+    def test_all_observed_is_exact(self):
         cs = [chunk(), chunk()]
-        m.put(cs[0].key, ChunkMeta(nbytes=10))
-        assert m.total_nbytes(cs) is None  # second unknown
-        m.put(cs[1].key, ChunkMeta(nbytes=5))
-        assert m.total_nbytes(cs) == 15
-
-    def test_known(self):
-        m = MetaService()
-        c = chunk()
-        assert not m.known([c])
-        m.put(c.key, ChunkMeta())
-        assert m.known([c])
-
-    def test_clear(self):
-        m = MetaService()
-        m.put("k", ChunkMeta())
-        m.clear()
-        assert not m.has("k")
-
-
-def ctx_with(cfg=None, sizes=None):
-    ctx = TileContext(cfg or EngineConfig(), MetaService())
-    for key, nbytes in (sizes or {}).items():
-        ctx.meta.put(key, ChunkMeta(nbytes=nbytes))
-    return ctx
+        observe(cs[:1], 10)
+        observe(cs[1:], 5)
+        assert estimate_nbytes(cs) == 15
 
 
 class TestAutoMerge:
@@ -73,7 +61,8 @@ class TestAutoMerge:
     def test_groups_capped_by_bytes(self):
         cfg = EngineConfig(chunk_limit=100)
         chunks = [chunk() for _ in range(4)]
-        ctx = ctx_with(cfg, {c.key: 60 for c in chunks})
+        observe(chunks, 60)
+        ctx = ctx_with(cfg)
         groups = plan_merge_groups(ctx, chunks, max_group=10)
         # 60+60 > 100 → every chunk is its own group
         assert [len(g) for g in groups] == [1, 1, 1, 1]
@@ -81,7 +70,8 @@ class TestAutoMerge:
     def test_small_chunks_packed_until_limit(self):
         cfg = EngineConfig(chunk_limit=100)
         chunks = [chunk() for _ in range(6)]
-        ctx = ctx_with(cfg, {c.key: 30 for c in chunks})
+        observe(chunks, 30)
+        ctx = ctx_with(cfg)
         groups = plan_merge_groups(ctx, chunks, max_group=10)
         assert [len(g) for g in groups] == [3, 3]
 
@@ -96,18 +86,18 @@ class TestAutoMerge:
 
 
 class TestReduceSelect:
-    def _probe(self, ctx, in_chunks, out_bytes_each, probed=2):
+    def _probe(self, in_chunks, out_bytes_each, probed=2):
         probes = [chunk() for _ in range(probed)]
-        for p in probes:
-            ctx.meta.put(p.key, ChunkMeta(nbytes=out_bytes_each))
+        observe(probes, out_bytes_each)
         return probes, in_chunks[:probed]
 
     def test_small_agg_picks_tree(self):
         cfg = EngineConfig(dynamic_tiling=True, tree_reduce_threshold=10_000,
                            chunk_limit=5_000)
         chunks = [chunk() for _ in range(10)]
-        ctx = ctx_with(cfg, {c.key: 1_000 for c in chunks})
-        probe = self._probe(ctx, chunks, out_bytes_each=10)
+        observe(chunks, 1_000)
+        ctx = ctx_with(cfg)
+        probe = self._probe(chunks, out_bytes_each=10)
         mode, n, est = choose_reduce(ctx, chunks, probe, algebraic=True)
         assert mode == "tree"
         assert est is not None and est <= 10_000
@@ -116,8 +106,9 @@ class TestReduceSelect:
         cfg = EngineConfig(dynamic_tiling=True, tree_reduce_threshold=1_000,
                            chunk_limit=2_000)
         chunks = [chunk() for _ in range(10)]
-        ctx = ctx_with(cfg, {c.key: 1_000 for c in chunks})
-        probe = self._probe(ctx, chunks, out_bytes_each=900)  # ~90% ratio
+        observe(chunks, 1_000)
+        ctx = ctx_with(cfg)
+        probe = self._probe(chunks, out_bytes_each=900)  # ~90% ratio
         mode, n, est = choose_reduce(ctx, chunks, probe, algebraic=True)
         assert mode == "shuffle"
         assert n == -(-est // cfg.chunk_limit)
@@ -125,7 +116,8 @@ class TestReduceSelect:
     def test_non_algebraic_forces_shuffle(self):
         cfg = EngineConfig(dynamic_tiling=True)
         chunks = [chunk() for _ in range(4)]
-        ctx = ctx_with(cfg, {c.key: 100 for c in chunks})
+        observe(chunks, 100)
+        ctx = ctx_with(cfg)
         mode, n, _ = choose_reduce(ctx, chunks, None, algebraic=False)
         assert mode == "shuffle"
 
@@ -151,6 +143,7 @@ class TestReduceSelect:
     def test_no_probe_metadata_defaults_to_shuffle(self):
         cfg = EngineConfig(dynamic_tiling=True)
         chunks = [chunk() for _ in range(5)]
-        ctx = ctx_with(cfg, {c.key: 100 for c in chunks})
+        observe(chunks, 100)
+        ctx = ctx_with(cfg)
         mode, n, est = choose_reduce(ctx, chunks, None, algebraic=True)
         assert mode == "shuffle" and est is None

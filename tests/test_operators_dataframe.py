@@ -257,17 +257,16 @@ class TestCompositeHotKeys:
     def test_hot_keys_match_tuple_path(self):
         from repro.core.chunk import ChunkMeta, ChunkNode
         from repro.core.config import EngineConfig
-        from repro.core.meta import MetaService
         from repro.core.operators.base import TileContext
         from repro.storage.service import StorageService
 
         df = self.tied_frame()
-        chunk = ChunkNode(op=None, inputs=[])
-        meta, storage = MetaService(), StorageService()
-        meta.put(chunk.key, ChunkMeta.from_payload(df))
+        chunk = ChunkNode(op=None, inputs=[],
+                          meta=ChunkMeta.from_payload(df, observed=True))
+        storage = StorageService()
         storage.put(chunk.key, df)
         # any key seen 40 times in the (only) probed chunk is hot
-        ctx = TileContext(EngineConfig(skew_key_limit=1), meta, storage=storage)
+        ctx = TileContext(EngineConfig(skew_key_limit=1), storage=storage)
         hot, _ = _detect_hot_keys(ctx, [chunk], [], ["a", "b"], ["a", "b"])
         want = self.tuple_top20(df, ["a", "b"])
         assert len(want) == 20

@@ -65,8 +65,8 @@ class TestSourcePruning:
         assert df._t.op.pruned_columns is not None
         assert "unused" not in df._t.op.pruned_columns
         # chunks really carry fewer columns
-        chunk_cols = sess.meta.get(df._t.chunks[0].key).columns
-        assert "unused" not in chunk_cols
+        meta = df._t.chunks[0].meta
+        assert meta.observed and "unused" not in meta.columns
         exp = frame.groupby("a").agg(total=("b", "sum"))
         pd.testing.assert_frame_equal(out.sort_index(), exp, check_dtype=False)
 

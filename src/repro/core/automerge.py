@@ -6,10 +6,15 @@ execution, :func:`plan_merge_groups` packs adjacent chunks into groups
 whose combined (estimated) size stays under ``cfg.chunk_limit``, bounded
 by ``max_group`` so any one combine node gathers a few chunks at most —
 keeping the graph small without overwhelming a single worker's memory.
+:func:`combine_tree` builds every combine tree from those groups.
 """
 from __future__ import annotations
 
-from .chunk import ChunkNode
+from typing import Callable
+
+from .chunk import ChunkMeta, ChunkNode
+
+FANOUT = 4  # most inputs any one combine node gathers
 
 
 def plan_merge_groups(
@@ -46,3 +51,20 @@ def plan_merge_groups(
     if cur:
         groups.append(cur)
     return groups
+
+
+def combine_tree(ctx, chunks: list[ChunkNode], combine: Callable,
+                 final: Callable) -> ChunkNode:
+    """The map–combine–reduce tree over ``chunks`` (paper Section III-C):
+    while the level is wider than :data:`FANOUT`, each merge group becomes
+    one ``combine()`` node (a singleton passes through); one ``final()``
+    node then gathers what is left. Chunks without a known size group in
+    fixed slices of :data:`FANOUT`."""
+    level = chunks
+    while len(level) > FANOUT:
+        level = [
+            ChunkNode(op=combine(), inputs=g, index=(i, 0), meta=ChunkMeta())
+            if len(g) > 1 else g[0]
+            for i, g in enumerate(plan_merge_groups(ctx, level, FANOUT))
+        ]
+    return ChunkNode(op=final(), inputs=level, index=(0, 0), meta=ChunkMeta())

@@ -93,7 +93,8 @@ class Buckets(dict):
     """A shuffle mapper's output: reducer id → block, holding only the
     non-empty blocks. ``empty`` is a zero-row frame with the mapper
     input's columns and dtypes; it stands in for every absent bucket,
-    so a reducer still sees both sides' column structure."""
+    so a reducer still sees both sides' column structure. The executor
+    records a stored mapper as a ``Buckets`` of storage keys."""
 
     def __init__(self, blocks: dict, empty: Any) -> None:
         super().__init__(blocks)

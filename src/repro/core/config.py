@@ -36,7 +36,6 @@ class EngineConfig:
     dynamic_tiling: bool = True
     tree_reduce_threshold: int = 4 << 20
     broadcast_threshold: int = 4 << 20
-    combine_factor: int = 4
     probe_chunks: int = 2
     graph_fusion: bool = True
     operator_fusion: bool = True

@@ -55,9 +55,9 @@ def run_subtask(
     * ``out_sizes`` — bytes of each stored output, measured once, here;
       a shuffle mapper's bucket dict gets ``{reducer: bytes}``;
     * ``peak_working`` — the high-water mark of live bytes inside the
-      subtask: live inputs + live intermediates. ``input_sizes`` gives
-      a shuffle input the bytes of the buckets actually gathered, not
-      of every mapper's full dict, which would mismodel real memory.
+      subtask: live inputs + live intermediates. A shuffle input is the
+      one bucket gathered, sized as stored, not the mapper's full
+      output, which would mismodel real memory.
     """
     # intra-subtask consumer counts drive freeing
     consumers: dict[str, int] = {}
@@ -111,8 +111,9 @@ class TaskChunk(NamedTuple):
 class SubtaskSpec:
     """What a worker needs to run one subtask, and nothing more: the
     member chunks as :class:`TaskChunk`s (ops plus input keys), the keys
-    of its external inputs and of the outputs to store. Source chunks
-    fused into the subtask still carry their data in their op."""
+    of its external inputs and of the outputs to store, and the bucket
+    ``reducer`` it reads from each shuffle input. Source chunks fused
+    into the subtask still carry their data in their op."""
 
     def __init__(self, subtask: Subtask, store_keys: list[str]) -> None:
         self.key = subtask.key
@@ -123,35 +124,10 @@ class SubtaskSpec:
         self.input_keys = subtask.input_keys
         self.store_keys = store_keys
         self.band = subtask.band
-
-    def reducers_needed(self) -> set[int]:
-        """Bucket ids this subtask's shuffle-reduce ops will read."""
-        out: set[int] = set()
-        for c in self.chunks:
-            r = getattr(c.op, "reducer", None)
-            if r is not None:
-                out.add(r)
-        return out
-
-
-class _BucketMarker:
-    """Stored in place of a shuffle mapper's :class:`Buckets`; the
-    buckets themselves live as individual entries (``key::b<r>``), one
-    entry per *non-empty* bucket, so a reducer fetches — and the spill
-    layer moves — only its own bucket, exactly the paper's
-    storage-service shuffle. The executor records which buckets were
-    stored (``BaseExecutor.buckets``); the marker carries the schema:
-    ``empty``, the zero-row frame a reducer gets for a bucket that was
-    not stored. Storing the whole dict instead makes every reducer page
-    in every mapper's full output: O(maps × reducers) spill churn at
-    scale (measured: 766 s vs ~1 s on one TPC-H-lite query)."""
-
-    def __init__(self, empty: Any) -> None:
-        self.empty = empty
-
-    @staticmethod
-    def bucket_key(key: str, r: int) -> str:
-        return f"{key}::b{r}"
+        # the bucket it reads from each shuffle input; reducers never fuse
+        # in, so a subtask holds at most one
+        self.reducer = next((c.op.reducer for c in self.chunks
+                             if hasattr(c.op, "reducer")), None)
 
 
 class BaseExecutor:
@@ -163,8 +139,17 @@ class BaseExecutor:
     (handed to the next ``execute`` as ``release``). A subtask stores an
     output only while its count is above 0; when a count drops to 0 the
     key leaves the table and its payload is deleted, unless the engine
-    retains intermediates (``free_intermediates=False``). ``buckets``
-    maps each stored shuffle mapper to the ids of its stored buckets."""
+    retains intermediates (``free_intermediates=False``).
+
+    ``buckets`` is the one record of a stored shuffle mapper: a
+    :class:`Buckets` mapping each reducer id the mapper had rows for to
+    that bucket's storage entry (``key::b<r>``), with the mapper's
+    zero-row ``empty`` standing in for every other bucket. Nothing is
+    stored under the mapper's own key, so a reducer reads, and the spill
+    layer moves, only its own buckets: the paper's storage-service
+    shuffle. Storing the whole dict instead makes every reducer page in
+    every mapper's full output: O(maps × reducers) spill churn at scale
+    (measured: 766 s vs ~1 s on one TPC-H-lite query)."""
 
     def __init__(self, cfg: EngineConfig, storage: StorageService) -> None:
         self.cfg = cfg
@@ -174,7 +159,7 @@ class BaseExecutor:
         self.tasks_executed = 0
         self.waves = 0
         self.refs: dict[str, int] = {}
-        self.buckets: dict[str, list[int]] = {}
+        self.buckets: dict[str, Buckets] = {}
 
     # -- public --------------------------------------------------------
     def execute(self, target_chunks: list[ChunkNode],
@@ -227,7 +212,7 @@ class BaseExecutor:
         never recomputes its ancestors."""
         dag = build_chunk_dag(target_chunks)
         needed: set[str] = set()
-        stack = [c for c in target_chunks if not self.storage.has(c.key)]
+        stack = [c for c in target_chunks if not self._stored(c.key)]
         while stack:
             c = stack.pop()
             if c.key in needed:
@@ -235,7 +220,7 @@ class BaseExecutor:
             needed.add(c.key)
             stack.extend(
                 i for i in c.inputs
-                if not self.storage.has(i.key) and i.key not in needed
+                if not self._stored(i.key) and i.key not in needed
             )
         pending = [c for c in dag.topological_order() if c.key in needed]
         if self.cfg.max_tasks is not None and len(pending) > self.cfg.max_tasks:
@@ -244,6 +229,9 @@ class BaseExecutor:
                 f"capacity {self.cfg.max_tasks}"
             )
         return dag.subgraph(pending)
+
+    def _stored(self, key: str) -> bool:
+        return key in self.buckets or self.storage.has(key)
 
     def _run_waves(self, sub_dag: DAG[Subtask], held: dict[Subtask, list[str]],
                    nodes: dict[str, ChunkNode]) -> None:
@@ -276,8 +264,8 @@ class BaseExecutor:
                 self.decref(held.pop(s))
 
     def _delete_chunk(self, k: str) -> None:
-        for r in self.buckets.pop(k, ()):
-            self.storage.delete(_BucketMarker.bucket_key(k, r))
+        for bk in self.buckets.pop(k, {}).values():
+            self.storage.delete(bk)
         self.storage.delete(k)
 
     # -- wave execution -------------------------------------------------
@@ -297,25 +285,19 @@ class BaseExecutor:
             yield run_subtask(spec, *self._gather(spec))
 
     def _gather(self, spec: SubtaskSpec) -> tuple[dict[str, Any], dict[str, int]]:
-        """Input payloads and their stored sizes; a shuffle input is the
-        dict of buckets this subtask reads, sized as the sum of the stored
-        ones. A bucket the mapper did not store is its zero-row ``empty``."""
-        needed = spec.reducers_needed()
+        """Input payloads and their stored sizes. A shuffle input is one
+        block: the mapper's bucket ``spec.reducer``, or its zero-row
+        ``empty`` (0 bytes) when it stored no such bucket."""
         inputs: dict[str, Any] = {}
         sizes: dict[str, int] = {}
         for k in spec.input_keys:
-            payload = self.storage.get(k)
-            if isinstance(payload, _BucketMarker):
-                keys = {
-                    r: _BucketMarker.bucket_key(k, r)
-                    for r in needed.intersection(self.buckets[k])
-                }
-                inputs[k] = dict.fromkeys(needed, payload.empty)
-                inputs[k].update((r, self.storage.get(bk)) for r, bk in keys.items())
-                sizes[k] = sum(self.storage.nbytes_of(bk) for bk in keys.values())
+            mapped = self.buckets.get(k)
+            key = k if mapped is None else mapped.get(spec.reducer)
+            if key is None:
+                inputs[k], sizes[k] = mapped.empty, 0
             else:
-                inputs[k] = payload
-                sizes[k] = self.storage.nbytes_of(k)
+                inputs[k] = self.storage.get(key)
+                sizes[k] = self.storage.nbytes_of(key)
         return inputs, sizes
 
     def _store_outputs(
@@ -328,12 +310,11 @@ class BaseExecutor:
         band = spec.band or "w0-n0"
         for k, payload in outputs.items():
             if isinstance(payload, Buckets):
-                # shuffle mapper output: store buckets individually
-                self.buckets[k] = sorted(payload)
+                # shuffle mapper output: one entry per non-empty bucket
+                mapped = self.buckets[k] = Buckets(
+                    {r: f"{k}::b{r}" for r in payload}, payload.empty)
                 for r, blk in payload.items():
-                    self.storage.put(_BucketMarker.bucket_key(k, r), blk,
-                                     band=band, nbytes=sizes[k][r])
-                self.storage.put(k, _BucketMarker(payload.empty), band=band, nbytes=64)
+                    self.storage.put(mapped[r], blk, band=band, nbytes=sizes[k][r])
                 meta = ChunkMeta(nbytes=sum(sizes[k].values()), observed=True)
             else:
                 self.storage.put(k, payload, band=band, nbytes=sizes[k])

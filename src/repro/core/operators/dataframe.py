@@ -19,12 +19,13 @@ Every operator works in two modes:
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 import pandas as pd
 
-from ..automerge import plan_merge_groups
+from ..automerge import combine_tree
 from ..chunk import (Buckets, ChunkMeta, ChunkNode, estimate_nbytes, new_key,
                      payload_nbytes)
 from ..reduce_select import choose_reduce
@@ -77,8 +78,7 @@ def hash_partition(
 
     Only the non-empty buckets of ``range(total or n)`` are in the
     result; its ``empty`` carries the schema for the rest, so the
-    executor stores one entry per *non-empty* bucket and the marker
-    carries the schema.
+    executor stores one entry per *non-empty* bucket.
     """
     total = total if total is not None else n
     if len(pdf) == 0 or n <= 1:
@@ -150,22 +150,6 @@ class DataChunk(Operator):
         return self.data
 
 
-class ParquetChunk(Operator):
-    """Chunk-level reader of one row-group range of a parquet file."""
-
-    def __init__(self, path: str, row_groups: list[int], columns: Optional[list]) -> None:
-        self.path = path
-        self.row_groups = row_groups
-        self.columns = columns
-
-    def execute_chunk(self, inputs, chunk):
-        import pyarrow.parquet as pq
-
-        f = pq.ParquetFile(self.path)
-        table = f.read_row_groups(self.row_groups, columns=self.columns)
-        return table.to_pandas()
-
-
 class FromPandas(Operator):
     """Tileable source over an in-memory pandas DataFrame/Series."""
 
@@ -193,52 +177,6 @@ class FromPandas(Operator):
             ChunkNode(op=DataChunk(p), inputs=[], index=(i, 0),
                       meta=ChunkMeta.from_payload(p))
             for i, p in enumerate(pieces)
-        ]
-        return [chunks]
-
-    def required_input_columns(self, required_out):
-        return []
-
-
-class ReadParquet(Operator):
-    """Tileable parquet reader; chunks follow row groups, grouped so each
-    chunk stays under the chunk limit (the paper's ``ReadParquet``)."""
-
-    def __init__(self, path: str, columns: Optional[list] = None) -> None:
-        self.path = path
-        self.columns = columns
-        self.pruned_columns: Optional[list] = None
-
-    def tile(self, ctx: TileContext):
-        import pyarrow.parquet as pq
-
-        cols = self.pruned_columns if self.pruned_columns is not None else self.columns
-        f = pq.ParquetFile(self.path)
-        if cols is not None:
-            avail = set(f.schema_arrow.names)
-            cols = [c for c in cols if c in avail]
-        n_rg = f.metadata.num_row_groups
-        total_bytes = sum(
-            f.metadata.row_group(i).total_byte_size for i in range(n_rg)
-        ) or 1
-        # group row groups so each chunk ~<= chunk_limit (decompressed
-        # pandas bytes run bigger than parquet bytes; 2x fudge)
-        limit = max(1, ctx.cfg.chunk_limit // 2)
-        groups: list[list[int]] = []
-        cur: list[int] = []
-        cur_bytes = 0
-        for i in range(n_rg):
-            sz = f.metadata.row_group(i).total_byte_size
-            if cur and cur_bytes + sz > limit:
-                groups.append(cur)
-                cur, cur_bytes = [], 0
-            cur.append(i)
-            cur_bytes += sz
-        if cur:
-            groups.append(cur)
-        chunks = [
-            ChunkNode(op=ParquetChunk(self.path, g, cols), inputs=[], index=(i, 0))
-            for i, g in enumerate(groups)
         ]
         return [chunks]
 
@@ -672,8 +610,7 @@ class _AggShuffleReduce(Operator):
         self.algebraic = algebraic
 
     def execute_chunk(self, inputs, chunk):
-        blocks = [b[self.reducer] for b in inputs if self.reducer in b]
-        df = _concat_parts(blocks)
+        df = _concat_parts(inputs)
         if self.algebraic:
             df = df.set_index(self.keys)
             fin = _AggFinalize(self.keys, self.specs, self.layout, False)
@@ -741,19 +678,8 @@ class GroupByAgg(Operator):
                           inputs=[c], index=(len(maps) + i, 0), meta=ChunkMeta())
                 for i, c in enumerate(rest)
             )
-            level = maps
-            while len(level) > cfg.combine_factor:
-                groups = plan_merge_groups(ctx, level, cfg.combine_factor)
-                level = [
-                    ChunkNode(op=_AggCombine(), inputs=g, index=(i, 0), meta=ChunkMeta())
-                    if len(g) > 1 else g[0]
-                    for i, g in enumerate(groups)
-                ]
-            out = ChunkNode(
-                op=_AggFinalize(self.keys, specs, self.layout, False),
-                inputs=level, index=(0, 0), meta=ChunkMeta(),
-            )
-            return [[out]]
+            final = partial(_AggFinalize, self.keys, specs, self.layout, False)
+            return [[combine_tree(ctx, maps, _AggCombine, final)]]
 
         # shuffle-reduce
         maps = [
@@ -911,10 +837,8 @@ class _MergeShuffleReduce(Operator):
         # The executor hands every bucket a mapper did not store as that
         # mapper's zero-row ``empty``, so both sides' column structure is
         # always here; merging empty sides yields the right output columns.
-        lparts = [b[self.reducer] for b in inputs[: self.n_left] if self.reducer in b]
-        rparts = [b[self.reducer] for b in inputs[self.n_left:] if self.reducer in b]
-        left = _concat_parts(lparts)
-        right = _concat_parts(rparts)
+        left = _concat_parts(inputs[: self.n_left])
+        right = _concat_parts(inputs[self.n_left:])
         return left.merge(right, **self.kw.pandas_kwargs())
 
 
@@ -1099,8 +1023,7 @@ class _RangeSortReduce(Operator):
         self.reducer = reducer
 
     def execute_chunk(self, inputs, chunk):
-        parts = [b[self.reducer] for b in inputs if self.reducer in b]
-        df = _concat_parts(parts)
+        df = _concat_parts(inputs)
         return df.sort_values(self.by, ascending=self.ascending, kind="mergesort")
 
 
@@ -1171,8 +1094,7 @@ class _GatherApply(Operator):
         self.name = name
 
     def execute_chunk(self, inputs, chunk):
-        parts = [p for p in inputs if p is not None]
-        df = pd.concat(parts) if len(parts) > 1 else parts[0]
+        df = pd.concat(inputs) if len(inputs) > 1 else inputs[0]
         return self.fn(df)
 
 
@@ -1226,24 +1148,13 @@ class DropDuplicates(Operator):
         self.subset = subset
 
     def tile(self, ctx: TileContext):
-        cfg = ctx.cfg
         maps = [
             ChunkNode(op=_DedupMap(self.subset), inputs=[c], index=(i, 0),
                       meta=ChunkMeta())
             for i, c in enumerate(ctx.input_chunks(0))
         ]
-        level = maps
-        while len(level) > cfg.combine_factor:
-            groups = [level[i:i + cfg.combine_factor]
-                      for i in range(0, len(level), cfg.combine_factor)]
-            level = [
-                ChunkNode(op=_DedupReduce(self.subset), inputs=g, index=(i, 0),
-                          meta=ChunkMeta())
-                for i, g in enumerate(groups)
-            ]
-        out = ChunkNode(op=_DedupReduce(self.subset), inputs=level, index=(0, 0),
-                        meta=ChunkMeta())
-        return [[out]]
+        reduce = partial(_DedupReduce, self.subset)
+        return [[combine_tree(ctx, maps, reduce, reduce)]]
 
     def required_input_columns(self, required_out):
         if required_out is None or self.subset is None:
@@ -1291,10 +1202,11 @@ class _ScalarReduce(Operator):
             return len(out)
         if f in ("sum", "count", "size"):
             return sum(inputs)
-        if f == "min":
-            return min(inputs)
-        if f == "max":
-            return max(inputs)
+        if f in ("min", "max"):
+            # skipna: an empty chunk's partial is NaN/NaT, and comparisons
+            # with it depend on order
+            found = [p for p in inputs if not pd.isna(p)]
+            return (min if f == "min" else max)(found) if found else inputs[0]
         raise ValueError(f)
 
 

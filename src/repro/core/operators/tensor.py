@@ -10,11 +10,12 @@ automatically where Dask requires a manual ``rechunk``.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from ..automerge import plan_merge_groups
+from ..automerge import combine_tree
 from ..chunk import ChunkMeta, ChunkNode
 from ..rechunk import auto_rechunk, chunk_slices
 from .base import Operator, TileContext
@@ -184,27 +185,14 @@ class TensorMapReduce(Operator):
         self.reduce_fn = reduce_fn
 
     def tile(self, ctx: TileContext):
-        cfg = ctx.cfg
         maps = [
             ChunkNode(op=_MapChunk(self.map_fn), inputs=[c], index=(i, 0),
                       meta=ChunkMeta())
             for i, c in enumerate(ctx.input_chunks(0))
         ]
-        level = maps
-        while len(level) > 1:
-            groups = [level[i:i + cfg.combine_factor]
-                      for i in range(0, len(level), cfg.combine_factor)]
-            level = [
-                ChunkNode(op=_ReduceChunk(self.reduce_fn), inputs=g, index=(i, 0),
-                          meta=ChunkMeta())
-                if len(g) > 1 else g[0]
-                for i, g in enumerate(groups)
-            ]
-        if level[0] in maps:
-            # single chunk: still apply an identity reduce for type parity
-            level = [ChunkNode(op=_ReduceChunk(self.reduce_fn), inputs=level,
-                               index=(0, 0), meta=ChunkMeta())]
-        return [level]
+        # a single chunk still gets a reduce node, for type parity
+        reduce = partial(_ReduceChunk, self.reduce_fn)
+        return [[combine_tree(ctx, maps, reduce, reduce)]]
 
 
 # --------------------------------------------------------------------------

@@ -16,10 +16,10 @@ Dask (sim)    static row partitions, groupby gathers to a single
               partition (``split_out=1`` default), plain hash-shuffle
               merge sized from input chunk counts, task-count hang
               threshold, documented API gaps (e.g. no positional iloc)
-Spark (sim)   static shuffle with a fixed partition count (the
-              ``spark.sql.shuffle.partitions`` default) + small-table
-              broadcast — Spark's rule-based policies without runtime
-              re-tiling
+Spark (sim)   every groupby and merge is a static hash shuffle with a
+              fixed partition count (the ``spark.sql.shuffle.partitions``
+              default); nothing is broadcast and nothing is re-tiled at
+              runtime
 PySpark       the REAL ``pyspark.pandas`` (API behaviour measured, not
               simulated; memory behaviour is out of its scope locally)
 ============  =======================================================
@@ -201,11 +201,11 @@ class DaskSimEngine(_SimEngineBase):
 
 
 class SparkPolicySimEngine(_SimEngineBase):
-    """Spark's rule-based policies without runtime re-tiling: a fixed
-    shuffle partition count and a fixed small-table broadcast threshold
-    (what AQE-less DataFrame execution does). Used for the memory/scale
-    cells of the PySpark column; API cells come from the real
-    ``pyspark.pandas`` (:class:`SparkPandasEngine`)."""
+    """Spark's partitioning without runtime re-tiling: every groupby and
+    merge is a hash shuffle into a fixed partition count. Unlike Spark's
+    rule-based small-table broadcast, this policy never broadcasts. Used
+    for the memory/scale cells of the PySpark column; API cells come from
+    the real ``pyspark.pandas`` (:class:`SparkPandasEngine`)."""
 
     name = "spark-sim"
 

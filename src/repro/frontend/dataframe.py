@@ -592,16 +592,6 @@ def from_pandas(pdf: Union[pd.DataFrame, pd.Series],
     return DataFrame(t, session)
 
 
-def read_parquet(path: str, columns: Optional[list] = None,
-                 session: Optional[XSession] = None) -> DataFrame:
-    op = ops.ReadParquet(path, columns=columns)
-    import pyarrow.parquet as pq
-
-    cols = columns or pq.ParquetFile(path).schema_arrow.names
-    t = op.new_tileable([], kind="dataframe", columns_hint=list(cols))
-    return DataFrame(t, session)
-
-
 def concat(objs: Sequence[DataFrame], session: Optional[XSession] = None) -> DataFrame:
     op = ops.Concat()
     t = op.new_tileable([o._t for o in objs], kind="dataframe",

@@ -67,8 +67,6 @@ class XSession:
 
             rows: dict[int, list] = {}
             for chunk, p in zip(t.chunks, raw):
-                if p is None:
-                    continue
                 r, c = chunk.index
                 rows.setdefault(r, []).append((c, p))
             stacked = [
@@ -78,10 +76,9 @@ class XSession:
                 for _r, parts in sorted(rows.items())
             ]
             return np.concatenate(stacked, axis=0) if len(stacked) > 1 else stacked[0]
-        # dataframe/series: concat row chunks in (r) order, skipping empty
-        # shuffle buckets (None payloads)
+        # dataframe/series: concat row chunks in (r) order
         ordered = sorted(zip(t.chunks, raw), key=lambda cp: cp[0].index)
-        payloads = [p for _c, p in ordered if p is not None]
+        payloads = [p for _c, p in ordered]
         if not payloads:
             return pd.DataFrame()
         if len(payloads) == 1:

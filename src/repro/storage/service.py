@@ -13,8 +13,9 @@ design points at laptop scale:
 * **Minimised data transfer** — within one process payloads are stored
   by reference (the paper uses pickle5 zero-copy between processes).
 * **Shuffle over storage** — the executor stores one entry per
-  *non-empty* shuffle bucket, so a reducer reads (and spill moves) only
-  its bucket; the mapper's marker carries the schema for the rest.
+  *non-empty* shuffle bucket and nothing under the mapper's key, so a
+  reducer reads (and spill moves) only its own buckets; the executor's
+  bucket table records which were stored and the schema for the rest.
 
 The service is also the honest memory meter behind ``SimulatedOOM``
 (DESIGN.md § 6): *stored* chunks are spillable, but the **transient

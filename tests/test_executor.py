@@ -240,7 +240,7 @@ class TestSubtaskSpec:
         out = []
         for wave in waves:
             for spec, _inputs, _sizes in wave:
-                if spec.reducers_needed() and not any(
+                if spec.reducer is not None and not any(
                     isinstance(c.op, DataChunk) for c in spec.chunks
                 ):
                     out.append(len(cloudpickle.dumps(spec)))
@@ -329,12 +329,11 @@ class TestMeasureOnce:
         sess.close()
         reducers = [
             (spec, inputs, sizes) for wave in waves
-            for spec, inputs, sizes in wave if spec.reducers_needed()
+            for spec, inputs, sizes in wave if spec.reducer is not None
         ]
         assert len(reducers) == 8
         for spec, inputs, sizes in reducers:
-            buckets = sum(payload_nbytes(b) for d in inputs.values()
-                          for b in d.values())
+            buckets = sum(payload_nbytes(b) for b in inputs.values())
             assert sum(sizes.values()) == buckets
             outputs, out_sizes, peak = run_subtask(spec, inputs, sizes)
             out_bytes = sum(payload_nbytes(o) for o in outputs.values())
@@ -370,8 +369,7 @@ class TestSparseShuffle:
 
     def test_one_put_per_nonempty_bucket(self, monkeypatch):
         """The result equals pandas', and storage gets one put per
-        non-empty bucket plus one marker per mapper."""
-        from repro.core.executor import _BucketMarker
+        non-empty bucket and none under a mapper's own key."""
         from repro.core.operators import dataframe
         from repro.frontend.session import XSession
 
@@ -405,11 +403,42 @@ class TestSparseShuffle:
             if on == ["k"]:
                 sides["v" in pdf.columns] |= used
         assert sides[True] ^ sides[False]
-        markers = [p for _k, p in puts if isinstance(p, _BucketMarker)]
         buckets = [p for k, p in puts if "::b" in k]
-        assert len(markers) == len(splits) > 2
+        mappers = {k.split("::b")[0] for k, _p in puts if "::b" in k}
+        assert len(mappers) == sum(1 for used in per_split if used) > 2
+        assert not mappers & {k for k, _p in puts}
         assert len(buckets) == sum(map(len, per_split)) < 64 * len(splits) // 4
         assert all(len(b) for b in buckets)
+
+    def test_reducers_read_only_their_buckets(self, monkeypatch):
+        """Each stored bucket is read once, by the one reducer that needs
+        it; nothing is read under a mapper's key."""
+        from repro.core.chunk import Buckets
+        from repro.frontend.session import XSession
+
+        sess = XSession(EngineConfig(**STATIC_SHUFFLE_64))
+        mappers, stored, reads = set(), [], Counter()
+        store, get = sess.executor._store_outputs, StorageService.get
+
+        def recording_store(spec, outputs, *args):
+            store(spec, outputs, *args)
+            for k, payload in outputs.items():
+                if isinstance(payload, Buckets):
+                    mappers.add(k)
+                    stored.extend(sess.executor.buckets[k].values())
+
+        def recording_get(storage, key):
+            reads[key] += 1
+            return get(storage, key)
+
+        monkeypatch.setattr(sess.executor, "_store_outputs", recording_store)
+        monkeypatch.setattr(StorageService, "get", recording_get)
+        got, exp = _sparse_shuffle_query(sess)
+        sess.close()
+        pd.testing.assert_frame_equal(got, exp)
+        assert len(mappers) > 2 and len(stored) > len(mappers)
+        assert not mappers & set(reads)
+        assert {k: reads[k] for k in stored} == dict.fromkeys(stored, 1)
 
     def test_spark_matches_local(self, spark):
         from repro.frontend.session import XSession
@@ -487,7 +516,6 @@ class TestLifetimes:
     def test_tpch_session_keeps_only_live_handles(self):
         import gc
 
-        from repro.core.executor import _BucketMarker
         from repro.frontend import dataframe as xpd
         from repro.frontend.session import XSession
         from repro.synth_data import tpch_tables_pdf
@@ -510,8 +538,7 @@ class TestLifetimes:
         for h in kept.values():
             for c in h._t.chunks:
                 want.add(c.key)
-                want.update(_BucketMarker.bucket_key(c.key, r)
-                            for r in sess.executor.buckets.get(c.key, ()))
+                want.update(sess.executor.buckets.get(c.key, {}).values())
         assert set(sess.storage.keys()) == want
         assert set(sess.executor.refs) == {c.key for h in kept.values() for c in h._t.chunks}
         assert sess.storage.spill_count == 0
@@ -578,8 +605,8 @@ class TestLifetimes:
         sess.close()
 
     def test_delete_reads_no_payload(self, monkeypatch):
-        """Freeing a chunk, a shuffle marker with its buckets included,
-        never reads (or reloads) a payload."""
+        """Freeing a chunk, a shuffle mapper's buckets included, never
+        reads (or reloads) a payload."""
         from repro.frontend import dataframe as xpd
         from repro.frontend.session import XSession
 

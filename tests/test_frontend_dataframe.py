@@ -279,6 +279,21 @@ class TestScalars:
         assert df["w"].min() == pdf["w"].min()
         assert df["w"].max() == pdf["w"].max()
 
+    def test_minmax_skip_empty_chunks(self):
+        """A filter that empties most chunks: their NaN/NaT partials are
+        skipped, as pandas' ``skipna`` does, whatever their order."""
+        pdf = pd.DataFrame({"a": np.arange(100_000, dtype=float)})
+        pdf["t"] = pd.Timestamp("2020-01-01") + pd.to_timedelta(pdf["a"], unit="s")
+        sess = XSession(EngineConfig(chunk_limit=100_000))
+        df = xpd.from_pandas(pdf, sess)
+        for col in ("a", "t"):
+            got, exp = df[df["a"] > 90_000][col], pdf[pdf["a"] > 90_000][col]
+            assert (got.min(), got.max()) == (exp.min(), exp.max())
+            none = df[df["a"] < 0][col]
+            assert pd.isna(none.min()) and pd.isna(none.max())
+        assert df[df["a"] > 90_000]["a"].max() == 99_999.0
+        sess.close()
+
     def test_count_nunique(self, sess, pdf):
         df = xpd.from_pandas(pdf, sess)
         assert df["k"].count() == pdf["k"].count()

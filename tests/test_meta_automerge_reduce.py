@@ -1,11 +1,16 @@
-"""Chunk-size estimation, auto merge grouping, and auto reduce selection."""
+"""Chunk-size estimation, auto merge grouping, combine trees, and auto
+reduce selection."""
+from types import SimpleNamespace
+
 import pandas as pd
 import pytest
 
 from repro.core.automerge import plan_merge_groups
 from repro.core.chunk import ChunkMeta, ChunkNode, estimate_nbytes
 from repro.core.config import EngineConfig
-from repro.core.operators.base import Operator, TileContext
+from repro.core.operators.base import Operator, TileContext, run_tile
+from repro.core.operators.dataframe import DropDuplicates, GroupByAgg
+from repro.core.operators.tensor import TensorMapReduce
 from repro.core.reduce_select import choose_reduce
 
 
@@ -83,6 +88,46 @@ class TestAutoMerge:
         chunks = [chunk() for _ in range(5)]
         groups = plan_merge_groups(ctx, chunks, max_group=2)
         assert [len(g) for g in groups] == [2, 2, 1]
+
+
+def _tree_shape(op, n, cfg):
+    """Tile ``op`` over ``n`` source chunks; return its one output as a
+    nested tuple: a map chunk is its source's position, any other node
+    the tuple of its inputs. Also return the number of nodes built."""
+    sources = [chunk() for _ in range(n)]
+    t = SimpleNamespace(op=op, inputs=[SimpleNamespace(chunks=sources)], key="t")
+    [[root]] = run_tile(t, TileContext(cfg), None)
+    built = set()
+
+    def shape(c):
+        built.add(c.key)
+        if c.inputs[0] in sources:
+            return sources.index(c.inputs[0])
+        return tuple(shape(i) for i in c.inputs)
+
+    return shape(root), len(built)
+
+
+_Q = (0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11), (12, 13, 14, 15)
+# inputs → (tree, nodes built: maps + combines + the final node)
+_TREES = {1: ((0,), 2), 2: ((0, 1), 3), 4: ((0, 1, 2, 3), 5),
+          5: (((0, 1, 2, 3), 4), 7), 16: (_Q, 21), 17: ((_Q, 16), 23)}
+
+
+class TestCombineTree:
+    """One builder makes every combine tree: groups of at most 4 while
+    the level is wider than 4 (a singleton passes through), then one
+    final node. Unsized chunks group in fixed slices of 4."""
+
+    @pytest.mark.parametrize("n", sorted(_TREES))
+    @pytest.mark.parametrize("op", [
+        lambda: GroupByAgg(["k"], {"v": "sum"}),
+        lambda: TensorMapReduce(lambda a: a.sum(), lambda x, y: x + y),
+        lambda: DropDuplicates(),
+    ], ids=["groupby_static_tree", "tensor_map_reduce", "drop_duplicates"])
+    def test_shape(self, op, n):
+        cfg = EngineConfig(dynamic_tiling=False, static_reduce="tree")
+        assert _tree_shape(op(), n, cfg) == _TREES[n]
 
 
 class TestReduceSelect:

@@ -75,6 +75,15 @@ def test_static_shuffle_matches_oracle(qname, tables_all, spark):
     test_query_matches_oracle(qname, tables_all, eng, spark)
 
 
+def test_spark_sim_q15_matches_oracle(tables_all, spark):
+    """The Spark policy's 64-way shuffle leaves most chunks of q15's
+    revenue table empty; their NaN partials must not hide its ``max``."""
+    from repro.engines import SparkPolicySimEngine
+
+    test_query_matches_oracle("q15", tables_all, SparkPolicySimEngine(band_budget=None),
+                              spark)
+
+
 @pytest.mark.parametrize("qname", ["q01", "q03", "q06", "q13", "q18"])
 def test_query_matches_spark_sql(qname, tables_all, engine, spark):
     """Second independent implementation: the same SQL through Catalyst

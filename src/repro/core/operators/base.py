@@ -12,14 +12,21 @@ Every Xorbits API is internally an operator implementing three methods:
   point. Static operators simply never yield.
 * ``execute_chunk`` — run one chunk's kernel on the single-node backend
   (pandas / NumPy), given the input payloads.
+
+The default ``tile`` is the row-aligned 1:1 expansion that every
+projection, filter and elementwise op of both frontends shares: output
+chunk *i* reads chunk *i* of each input. :class:`Elementwise` (one
+kernel per chunk, for DataFrames and Tensors alike) and
+:class:`DataChunk` (the source holder of an in-memory slice) live here
+for the same reason.
 """
 from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Any, Generator, Iterable, Optional, Sequence
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
-from ..chunk import ChunkNode
+from ..chunk import ChunkMeta, ChunkNode
 from ..config import EngineConfig, TileStats
 from ..graph import DAG
 
@@ -59,8 +66,9 @@ class Tileable:
 class Operator:
     """Base class for all operators.
 
-    Subclasses set ``output_count`` and implement :meth:`tile` and
-    :meth:`execute_chunk`. Chunk-level (staged) operators — e.g.
+    Subclasses set ``output_count`` and implement :meth:`execute_chunk`;
+    any op that is not 1:1 row-aligned also overrides :meth:`tile`.
+    Chunk-level (staged) operators — e.g.
     ``GroupByAgg`` at stage "map" — are separate lightweight instances
     created inside ``tile``; only :meth:`execute_chunk` is called on
     them.
@@ -77,6 +85,10 @@ class Operator:
     stage: Optional[str] = None
     #: chunk-level elementwise ops eligible for operator-level fusion
     elementwise = False
+    #: the default ``tile`` copies the first input chunk's shape onto
+    #: each output chunk as a hint: set only on ops whose output has
+    #: exactly its first input's rows
+    preserves_shape = False
 
     #: weak references to this op's output tileables. A tileable owns
     #: its op, not the reverse: a strong back-edge would form a cycle
@@ -116,8 +128,24 @@ class Operator:
         Returns one chunk list per output slot (so a single-output op
         returns ``[chunks]``). May be implemented as a generator that
         yields chunk lists to request their execution (dynamic tiling).
+
+        The default is the row-aligned 1:1 expansion: every input has
+        either one chunk, which is broadcast, or ``n``; output chunk
+        ``i`` (index ``(i, 0)``) runs this op on chunk ``i`` of each.
         """
-        raise NotImplementedError(type(self).__name__)
+        in_lists = [ctx.input_chunks(i) for i in range(len(ctx.inputs))]
+        n = max(len(l) for l in in_lists)
+        assert all(len(l) in (1, n) for l in in_lists), (
+            f"{getattr(self, 'name', type(self).__name__)}: misaligned "
+            f"chunking {[len(l) for l in in_lists]}"
+        )
+        chunks = []
+        for i in range(n):
+            ins = [l[i] if len(l) == n else l[0] for l in in_lists]
+            shape = ins[0].meta.shape if self.preserves_shape else None
+            chunks.append(ChunkNode(op=self, inputs=ins, index=(i, 0),
+                                    meta=ChunkMeta(shape=shape)))
+        return [chunks]
 
     def execute_chunk(self, inputs: list[Any], chunk: ChunkNode) -> Any:
         """Compute the payload of ``chunk`` from its input payloads."""
@@ -132,6 +160,39 @@ class Operator:
         (``None`` entries = all columns of that input). Default:
         unknown → require everything."""
         return None
+
+
+class Elementwise(Operator):
+    """A 1:1 operator applying ``func(*input_payloads)`` per chunk, for
+    DataFrames, Series and Tensors alike.
+
+    Covers arithmetic, comparisons, boolean logic, ``fillna``,
+    ``astype``, accessor methods (``.dt.year``), ``reset_index`` — every
+    row-wise op. These are the prime candidates for operator-level
+    fusion (Section V-A). A kernel that drops or adds rows (``dropna``)
+    passes ``preserves_shape=False``."""
+
+    elementwise = True
+
+    def __init__(self, func: Callable, name: str = "elementwise",
+                 preserves_shape: bool = True) -> None:
+        self.func = func
+        self.name = name
+        self.preserves_shape = preserves_shape
+
+    def execute_chunk(self, inputs, chunk):
+        return self.func(*inputs)
+
+
+class DataChunk(Operator):
+    """Chunk-level holder of an in-memory source slice (a pandas piece
+    or an ndarray block)."""
+
+    def __init__(self, data: Any) -> None:
+        self.data = data
+
+    def execute_chunk(self, inputs, chunk):
+        return self.data
 
 
 def build_tileable_dag(targets: Iterable[Tileable]) -> DAG[Tileable]:

@@ -3,8 +3,9 @@
 Implements the multi-stage map–combine–reduce model for ``groupby.agg``,
 the dynamic-tiling paths for ``merge`` (broadcast / shuffle / skew) and
 ``iloc`` (the paper's 4-8-5 filtered-chunk example), and the 1:1
-elementwise operators that graph- and operator-level fusion later merge
-into subtasks.
+projection, filter and rename operators that graph- and operator-level
+fusion later merge into subtasks (their ``tile`` is the shared
+row-aligned default of :class:`~.base.Operator`).
 
 Every operator works in two modes:
 
@@ -20,16 +21,16 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 import pandas as pd
 
 from ..automerge import combine_tree
-from ..chunk import (Buckets, ChunkMeta, ChunkNode, estimate_nbytes, new_key,
+from ..chunk import (Buckets, ChunkMeta, ChunkNode, estimate_nbytes,
                      payload_nbytes)
 from ..reduce_select import choose_reduce
-from .base import Operator, TileContext
+from .base import DataChunk, Operator, TileContext
 
 # --------------------------------------------------------------------------
 # helpers
@@ -39,12 +40,13 @@ ALGEBRAIC_FUNCS = {"sum", "count", "min", "max", "mean", "size"}
 
 
 def split_pandas(pdf: pd.DataFrame, max_bytes: int) -> list[pd.DataFrame]:
-    """Row-split ``pdf`` into pieces of at most ~``max_bytes`` each."""
+    """Row-split ``pdf`` into pieces of at most ~``max_bytes`` each; a
+    zero-row frame is one zero-row piece, which keeps its schema."""
     total = payload_nbytes(pdf)
     n = max(1, math.ceil(total / max(1, max_bytes)))
     n = min(n, max(1, len(pdf)))
     bounds = np.linspace(0, len(pdf), n + 1).astype(int)
-    return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _empty_like(pdf):
@@ -140,16 +142,6 @@ def normalize_aggs(aggs: Any, kwargs: dict) -> tuple[list[tuple[str, Optional[st
 # --------------------------------------------------------------------------
 
 
-class DataChunk(Operator):
-    """Chunk-level holder of an in-memory pandas slice (source chunk)."""
-
-    def __init__(self, data: Any) -> None:
-        self.data = data
-
-    def execute_chunk(self, inputs, chunk):
-        return self.data
-
-
 class FromPandas(Operator):
     """Tileable source over an in-memory pandas DataFrame/Series."""
 
@@ -185,43 +177,8 @@ class FromPandas(Operator):
 
 
 # --------------------------------------------------------------------------
-# 1:1 elementwise / projection / filter
+# 1:1 projection / filter / rename (tiled by the default ``Operator.tile``)
 # --------------------------------------------------------------------------
-
-
-class Elementwise(Operator):
-    """A 1:1 operator applying ``func(*input_payloads)`` per chunk.
-
-    Covers arithmetic, comparisons, boolean logic, ``fillna``,
-    ``astype``, accessor methods (``.dt.year``), ``reset_index`` — every
-    row-wise op. These are the prime candidates for operator-level
-    fusion (Section V-A)."""
-
-    elementwise = True
-
-    def __init__(self, func: Callable, name: str = "elementwise",
-                 preserves_shape: bool = True) -> None:
-        self.func = func
-        self.name = name
-        self.preserves_shape = preserves_shape
-
-    def tile(self, ctx: TileContext):
-        in_lists = [ctx.input_chunks(i) for i in range(len(ctx.inputs))]
-        n = max(len(l) for l in in_lists)
-        for l in in_lists:
-            assert len(l) in (1, n), (
-                f"{self.name}: misaligned chunking {[len(x) for x in in_lists]}"
-            )
-        chunks = []
-        for i in range(n):
-            ins = [l[i] if len(l) == n else l[0] for l in in_lists]
-            shape = ins[0].meta.shape if self.preserves_shape else None
-            chunks.append(ChunkNode(op=self, inputs=ins, index=(i, 0),
-                                    meta=ChunkMeta(shape=shape)))
-        return [chunks]
-
-    def execute_chunk(self, inputs, chunk):
-        return self.func(*inputs)
 
 
 class GetItem(Operator):
@@ -231,13 +188,6 @@ class GetItem(Operator):
 
     def __init__(self, item: Any) -> None:
         self.item = item
-
-    def tile(self, ctx: TileContext):
-        chunks = [
-            ChunkNode(op=self, inputs=[c], index=c.index, meta=ChunkMeta())
-            for c in ctx.input_chunks(0)
-        ]
-        return [chunks]
 
     def execute_chunk(self, inputs, chunk):
         return inputs[0][self.item]
@@ -272,15 +222,6 @@ class SetColumns(Operator):
         self.names = names
         self.values = values
 
-    def tile(self, ctx: TileContext):
-        in_lists = [ctx.input_chunks(i) for i in range(len(ctx.inputs))]
-        n = len(in_lists[0])
-        chunks = []
-        for i in range(n):
-            ins = [l[i] if len(l) == n else l[0] for l in in_lists]
-            chunks.append(ChunkNode(op=self, inputs=ins, index=(i, 0), meta=ChunkMeta()))
-        return [chunks]
-
     def execute_chunk(self, inputs, chunk):
         df = inputs[0].copy(deep=False)
         for name, v in zip(self.names, self.values):
@@ -307,16 +248,6 @@ class Filter(Operator):
 
     elementwise = True
 
-    def tile(self, ctx: TileContext):
-        df_chunks = ctx.input_chunks(0)
-        mask_chunks = ctx.input_chunks(1)
-        assert len(df_chunks) == len(mask_chunks), "filter mask misaligned"
-        chunks = [
-            ChunkNode(op=self, inputs=[d, m], index=d.index, meta=ChunkMeta())
-            for d, m in zip(df_chunks, mask_chunks)
-        ]
-        return [chunks]
-
     def execute_chunk(self, inputs, chunk):
         df, mask = inputs
         return df[np.asarray(mask, dtype=bool)]
@@ -327,16 +258,10 @@ class Filter(Operator):
 
 class Rename(Operator):
     elementwise = True
+    preserves_shape = True
 
     def __init__(self, columns: dict) -> None:
         self.columns = columns
-
-    def tile(self, ctx: TileContext):
-        chunks = [
-            ChunkNode(op=self, inputs=[c], index=c.index, meta=ChunkMeta(shape=c.meta.shape))
-            for c in ctx.input_chunks(0)
-        ]
-        return [chunks]
 
     def execute_chunk(self, inputs, chunk):
         obj = inputs[0]
@@ -429,11 +354,6 @@ class ILoc(Operator):
         if not lengths_known():
             if ctx.cfg.dynamic_tiling:
                 yield in_chunks  # iterative tiling: execute, then resume
-                # a chunk may legitimately produce no payload (an empty
-                # shuffle bucket): treat it as zero rows
-                for c in in_chunks:
-                    if c.meta.shape is None:
-                        c.meta.shape = (0,)
             else:
                 # static fallback: single-node concat + iloc
                 gather = ChunkNode(op=ConcatChunks(), inputs=list(in_chunks),
@@ -519,6 +439,23 @@ class _AggMap(Operator):
 _PART_COMBINER = {"sum": "sum", "count": "sum", "size": "sum", "min": "min", "max": "max"}
 
 
+def _combine_partials(parts: list, sort: bool) -> pd.DataFrame:
+    """Merge ``_AggMap`` partial frames group by group."""
+    df = pd.concat(parts)
+    how = {c: _PART_COMBINER[c.rsplit("__", 1)[1]] for c in df.columns}
+    return df.groupby(level=list(range(df.index.nlevels)), sort=sort).agg(how)
+
+
+def _user_layout(res: pd.DataFrame, keys: list, layout: str) -> pd.DataFrame:
+    """Give a final aggregate pandas' column layout and index names."""
+    if layout == "multi":
+        res.columns = pd.MultiIndex.from_tuples(
+            [tuple(n.split("|", 1)) for n in res.columns]
+        )
+    res.index.names = keys
+    return res
+
+
 class _AggCombine(Operator):
     """Combine stage: merge a subset of partial results (pre-aggregation
     that keeps any one node's gather small — paper Section III-C)."""
@@ -527,9 +464,7 @@ class _AggCombine(Operator):
     no_fuse_in = True
 
     def execute_chunk(self, inputs, chunk):
-        df = pd.concat(inputs)
-        how = {c: _PART_COMBINER[c.rsplit("__", 1)[1]] for c in df.columns}
-        return df.groupby(level=list(range(df.index.nlevels)), sort=False).agg(how)
+        return _combine_partials(inputs, sort=False)
 
 
 class _AggFinalize(Operator):
@@ -538,16 +473,13 @@ class _AggFinalize(Operator):
     stage = "agg"
     no_fuse_in = True
 
-    def __init__(self, keys, specs, layout: str, single_func: bool) -> None:
+    def __init__(self, keys, specs, layout: str) -> None:
         self.keys = keys
         self.specs = specs
         self.layout = layout
-        self.single_func = single_func
 
     def execute_chunk(self, inputs, chunk):
-        df = pd.concat(inputs)
-        how = {c: _PART_COMBINER[c.rsplit("__", 1)[1]] for c in df.columns}
-        df = df.groupby(level=list(range(df.index.nlevels)), sort=True).agg(how)
+        df = _combine_partials(inputs, sort=True)
         out = {}
         for i, (out_name, _col, func) in enumerate(self.specs):
             if func == "mean":
@@ -556,13 +488,7 @@ class _AggFinalize(Operator):
                 out[out_name] = df[f"{i}__size"]
             else:
                 out[out_name] = df[f"{i}__{func}"]
-        res = pd.DataFrame(out)
-        if self.layout == "multi":
-            res.columns = pd.MultiIndex.from_tuples(
-                [tuple(n.split("|", 1)) for n in res.columns]
-            )
-        res.index.names = self.keys
-        return res
+        return _user_layout(pd.DataFrame(out), self.keys, self.layout)
 
 
 class _AggShuffleMap(Operator):
@@ -613,20 +539,14 @@ class _AggShuffleReduce(Operator):
         df = _concat_parts(inputs)
         if self.algebraic:
             df = df.set_index(self.keys)
-            fin = _AggFinalize(self.keys, self.specs, self.layout, False)
+            fin = _AggFinalize(self.keys, self.specs, self.layout)
             return fin.execute_chunk([df], chunk)
         g = df.groupby(self.keys, sort=True, observed=True)
         out = {}
         for out_name, col, func in self.specs:
             src = g[col] if col is not None else g
             out[out_name] = src.size() if func == "size" else src.agg(func)
-        res = pd.DataFrame(out)
-        if self.layout == "multi":
-            res.columns = pd.MultiIndex.from_tuples(
-                [tuple(n.split("|", 1)) for n in res.columns]
-            )
-        res.index.names = self.keys
-        return res
+        return _user_layout(pd.DataFrame(out), self.keys, self.layout)
 
 
 class GroupByAgg(Operator):
@@ -678,7 +598,7 @@ class GroupByAgg(Operator):
                           inputs=[c], index=(len(maps) + i, 0), meta=ChunkMeta())
                 for i, c in enumerate(rest)
             )
-            final = partial(_AggFinalize, self.keys, specs, self.layout, False)
+            final = partial(_AggFinalize, self.keys, specs, self.layout)
             return [[combine_tree(ctx, maps, _AggCombine, final)]]
 
         # shuffle-reduce
@@ -1014,17 +934,17 @@ class _RangeSplit(Operator):
         return _split_by_codes(df, codes, len(self.bounds) + 1)
 
 
-class _RangeSortReduce(Operator):
+class _RangeSortReduce(_SortChunk):
+    """Sort one range bucket: ``_SortChunk`` over the gathered parts."""
+
     no_fuse_in = True
 
     def __init__(self, by, ascending, reducer) -> None:
-        self.by = by
-        self.ascending = ascending
+        super().__init__(by, ascending)
         self.reducer = reducer
 
     def execute_chunk(self, inputs, chunk):
-        df = _concat_parts(inputs)
-        return df.sort_values(self.by, ascending=self.ascending, kind="mergesort")
+        return super().execute_chunk([_concat_parts(inputs)], chunk)
 
 
 class SortValues(Operator):
@@ -1126,18 +1046,14 @@ class _DedupMap(Operator):
         return df.drop_duplicates(subset=self.subset)
 
 
-class _DedupReduce(Operator):
+class _DedupReduce(_DedupMap):
+    """Dedup the concat of its inputs: ``_DedupMap``'s kernel."""
+
     stage = "agg"
     no_fuse_in = True
 
-    def __init__(self, subset) -> None:
-        self.subset = subset
-
     def execute_chunk(self, inputs, chunk):
-        df = pd.concat(inputs)
-        if isinstance(df, pd.Series):
-            return df.drop_duplicates()
-        return df.drop_duplicates(subset=self.subset)
+        return super().execute_chunk([pd.concat(inputs)], chunk)
 
 
 class DropDuplicates(Operator):

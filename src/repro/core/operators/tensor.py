@@ -1,34 +1,26 @@
 """Tensor operators: distributed arrays on the NumPy backend.
 
 Implements the array side of the paper: sources chunked by the auto
-rechunk algorithm (Section V-D), elementwise kernels (fused by the
-Section V-A passes), row-chunked matmul, generic map/tree-reduce, and
+rechunk algorithm (Section V-D), row-chunked matmul, generic
+map/tree-reduce, and
 the MapReduce tall-and-skinny QR (TSQR, Benson et al. [36]) that both
 Xorbits and Dask use — with Xorbits picking the chunk shapes
-automatically where Dask requires a manual ``rechunk``.
+automatically where Dask requires a manual ``rechunk``. Elementwise
+kernels are the frontends' shared :class:`~.base.Elementwise` (fused by
+the Section V-A passes), and a source block is held by
+:class:`~.base.DataChunk`.
 """
 from __future__ import annotations
 
-import math
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..automerge import combine_tree
 from ..chunk import ChunkMeta, ChunkNode
 from ..rechunk import auto_rechunk, chunk_slices
-from .base import Operator, TileContext
-
-
-class _ArrayChunk(Operator):
-    """Chunk-level holder of an in-memory ndarray slice."""
-
-    def __init__(self, data: np.ndarray) -> None:
-        self.data = data
-
-    def execute_chunk(self, inputs, chunk):
-        return self.data
+from .base import DataChunk, Operator, TileContext
 
 
 class _RandomChunk(Operator):
@@ -62,7 +54,7 @@ class TensorSource(Operator):
     def tile(self, ctx: TileContext):
         slices = _tile_rows(self.arr.shape, self.arr.itemsize, ctx.cfg)
         chunks = [
-            ChunkNode(op=_ArrayChunk(self.arr[lo:hi]), inputs=[], index=(i, 0),
+            ChunkNode(op=DataChunk(self.arr[lo:hi]), inputs=[], index=(i, 0),
                       meta=ChunkMeta.from_payload(self.arr[lo:hi]))
             for i, (lo, hi) in enumerate(slices)
         ]
@@ -102,35 +94,6 @@ class TensorRandom(Operator):
         return [chunks]
 
 
-class TensorElementwise(Operator):
-    """1:1 ndarray kernel (add/mul/exp/...); operator-fusion eligible."""
-
-    elementwise = True
-
-    def __init__(self, func: Callable, name: str = "tensor-ew") -> None:
-        self.func = func
-        self.name = name
-
-    def tile(self, ctx: TileContext):
-        in_lists = [ctx.input_chunks(i) for i in range(len(ctx.inputs))]
-        n = max(len(l) for l in in_lists)
-        chunks = []
-        for i in range(n):
-            ins = [l[i] if len(l) == n else l[0] for l in in_lists]
-            chunks.append(ChunkNode(op=self, inputs=ins, index=(i, 0),
-                                    meta=ChunkMeta(shape=ins[0].meta.shape)))
-        return [chunks]
-
-    def execute_chunk(self, inputs, chunk):
-        return self.func(*inputs)
-
-
-class _MatMulChunk(Operator):
-    def execute_chunk(self, inputs, chunk):
-        a, b = inputs
-        return a @ b
-
-
 class MatMul(Operator):
     """Row-chunked A (n×k) @ single-chunk B (k×m): per-chunk matmul.
 
@@ -140,15 +103,14 @@ class MatMul(Operator):
     """
 
     def tile(self, ctx: TileContext):
-        a_chunks = ctx.input_chunks(0)
-        b_chunks = ctx.input_chunks(1)
-        assert len(b_chunks) == 1, "MatMul requires an unchunked right operand"
-        chunks = [
-            ChunkNode(op=_MatMulChunk(), inputs=[a, b_chunks[0]], index=(i, 0),
-                      meta=ChunkMeta())
-            for i, a in enumerate(a_chunks)
-        ]
-        return [chunks]
+        assert len(ctx.input_chunks(1)) == 1, (
+            "MatMul requires an unchunked right operand"
+        )
+        return super().tile(ctx)
+
+    def execute_chunk(self, inputs, chunk):
+        a, b = inputs
+        return a @ b
 
 
 class _MapChunk(Operator):

@@ -13,7 +13,6 @@ The paper's worked example is reproduced by our unit tests: for shape
 """
 from __future__ import annotations
 
-import math
 from typing import Mapping, Sequence
 
 

@@ -26,7 +26,6 @@ PySpark       the REAL ``pyspark.pandas`` (API behaviour measured, not
 """
 from __future__ import annotations
 
-import math
 from typing import Any, Optional
 
 import pandas as pd

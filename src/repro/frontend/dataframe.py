@@ -9,12 +9,12 @@ repartition calls.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 import pandas as pd
 
-from repro.core.operators.base import Tileable
+from repro.core.operators.base import Elementwise, Tileable
 from repro.core.operators import dataframe as ops
 
 from .session import XSession, get_session
@@ -56,8 +56,9 @@ class _Lazy:
 
     # -- graph-building helpers ----------------------------------------
     def _elementwise(self, func, others: Sequence["_Lazy"] = (), kind=None,
-                     name="elementwise", columns_hint=None):
-        op = ops.Elementwise(func, name=name)
+                     name="elementwise", columns_hint=None,
+                     preserves_shape=True):
+        op = Elementwise(func, name=name, preserves_shape=preserves_shape)
         t = op.new_tileable(
             [self._t] + [o._t for o in others],
             kind=kind or self._t.kind,
@@ -219,10 +220,10 @@ class Series(_Lazy):
 
     def sort_values(self, ascending: bool = True) -> "Series":
         # series sort: single-chunk gather (series results are small in
-        # our workloads); implemented through SortValues on a frame
-        return self._elementwise(
-            lambda s: s.sort_values(ascending=ascending), name="sort_values"
-        )
+        # our workloads)
+        op = ops.MapGather(lambda s: s.sort_values(ascending=ascending),
+                           name="sort_values")
+        return Series(op.new_tileable([self._t], kind="series"), self._session)
 
     def value_counts(self, ascending: bool = False) -> "Series":
         """Distributed: per-chunk counts tree-reduced, globally sorted."""
@@ -231,7 +232,8 @@ class Series(_Lazy):
         def per_chunk(s: pd.Series) -> pd.Series:
             return s.value_counts()
 
-        op_map = ops.Elementwise(per_chunk, name="value_counts.map")
+        op_map = Elementwise(per_chunk, name="value_counts.map",
+                             preserves_shape=False)
         partial = Series(op_map.new_tileable([self._t], kind="series"),
                          self._session)
 
@@ -456,7 +458,7 @@ class DataFrame(_Lazy):
     def dropna(self, subset=None) -> "DataFrame":
         return self._elementwise(
             lambda df: df.dropna(subset=subset), kind="dataframe", name="dropna",
-            columns_hint=self._t.columns_hint,
+            columns_hint=self._t.columns_hint, preserves_shape=False,
         )
 
     def copy(self) -> "DataFrame":
@@ -572,7 +574,7 @@ class GroupBy:
             out.name = col
             return out
 
-        op = ops.Elementwise(apply, name="transform")
+        op = Elementwise(apply, name="transform")
         t = op.new_tileable([self._df._t, gathered._t], kind="series")
         return Series(t, self._df._session)
 

@@ -79,8 +79,6 @@ class XSession:
         # dataframe/series: concat row chunks in (r) order
         ordered = sorted(zip(t.chunks, raw), key=lambda cp: cp[0].index)
         payloads = [p for _c, p in ordered]
-        if not payloads:
-            return pd.DataFrame()
         if len(payloads) == 1:
             return payloads[0]
         return pd.concat(payloads)

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.operators import tensor as tops
-from repro.core.operators.base import Tileable
+from repro.core.operators.base import Elementwise, Tileable
 
 from .session import XSession, get_session
 
@@ -40,7 +40,7 @@ class Tensor:
 
     # -- elementwise ----------------------------------------------------
     def _ew(self, func: Callable, others=(), name="ew") -> "Tensor":
-        op = tops.TensorElementwise(func, name=name)
+        op = Elementwise(func, name=name)
         t = op.new_tileable([self._t] + [o._t for o in others], kind="tensor")
         return Tensor(t, self._session)
 

@@ -18,7 +18,6 @@ with the same meter every other engine uses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import pandas as pd
@@ -28,7 +27,6 @@ from repro.engines import (
     ModinSimEngine,
     Outcome,
     PandasSimEngine,
-    QueryResult,
     SparkPandasEngine,
     SparkPolicySimEngine,
     XorbitsEngine,

@@ -15,8 +15,8 @@ import pytest
 from repro.core.chunk import ChunkMeta, ChunkNode
 from repro.core.config import EngineConfig
 from repro.core.executor import LocalExecutor, SimulatedHang, run_subtask
-from repro.core.operators.base import Operator
-from repro.core.operators.dataframe import DataChunk, Elementwise
+from repro.core.operators.base import Elementwise, Operator
+from repro.core.operators.dataframe import DataChunk
 from repro.storage.service import SimulatedOOM, StorageService
 
 

@@ -271,6 +271,66 @@ class TestSortDedupMisc:
                                       check_dtype=False, check_names=False)
 
 
+class TestRowCountHints:
+    """Ops whose output rows differ from their input's must not pass the
+    input's row count on as a hint: ``head`` and ``iloc`` plan by it."""
+
+    @pytest.fixture(params=[True, False], ids=["dynamic", "static"])
+    def wide_sess(self, request):
+        s = XSession(EngineConfig(chunk_limit=100_000, n_workers=2,
+                                  bands_per_worker=2,
+                                  dynamic_tiling=request.param))
+        yield s
+        s.close()
+
+    def test_dropna_head_iloc(self, wide_sess):
+        a = np.arange(40_000, dtype="float64")
+        a[:30_000] = np.nan  # the first chunks drop every row
+        pdf = pd.DataFrame({"a": a, "b": np.arange(40_000)})
+        df = xpd.from_pandas(pdf, wide_sess).dropna()
+        exp = pdf.dropna()
+        pd.testing.assert_frame_equal(df.head(5).to_pandas(), exp.head(5))
+        pd.testing.assert_series_equal(df.iloc[10], exp.iloc[10])
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_series_sort_values_multi_chunk(self, wide_sess, ascending):
+        s = pd.Series(np.random.default_rng(3).random(40_000), name="x")
+        xs = xpd.from_pandas(s, wide_sess)
+        got = xs.sort_values(ascending=ascending).to_pandas()
+        pd.testing.assert_series_equal(got, s.sort_values(ascending=ascending))
+
+    def test_value_counts_head(self, wide_sess):
+        s = pd.Series(np.random.default_rng(4).integers(0, 7, 40_000), name="k")
+        got = xpd.from_pandas(s, wide_sess).value_counts().head(3).to_pandas()
+        exp = s.value_counts().head(3)
+        pd.testing.assert_series_equal(got, exp, check_names=False)
+
+
+class TestEmptyFrame:
+    """A zero-row source tiles to one zero-row chunk, so its schema
+    reaches every result."""
+
+    @pytest.fixture()
+    def empty(self):
+        return pd.DataFrame({"a": pd.Series([], dtype="float64"),
+                             "b": pd.Series([], dtype="int64")})
+
+    def test_to_pandas_keeps_schema(self, sess, empty):
+        got = xpd.from_pandas(empty, sess).to_pandas()
+        pd.testing.assert_frame_equal(got, empty)
+
+    def test_scalars(self, sess, empty):
+        df = xpd.from_pandas(empty, sess)
+        assert df["a"].sum() == empty["a"].sum() == 0
+        assert pd.isna(df["a"].max()) and pd.isna(empty["a"].max())
+
+    @pytest.mark.parametrize("spec", [{"a": "sum"}, {"a": ["sum", "nunique"]}],
+                             ids=["tree", "shuffle"])
+    def test_groupby_agg(self, sess, empty, spec):
+        got = xpd.from_pandas(empty, sess).groupby("b").agg(spec).to_pandas()
+        pd.testing.assert_frame_equal(got, empty.groupby("b").agg(spec))
+
+
 class TestScalars:
     def test_sum_mean_minmax(self, sess, pdf):
         df = xpd.from_pandas(pdf, sess)

@@ -200,7 +200,7 @@ class TestAggKernels:
             _AggMap(["k"], specs).execute_chunk([h], None) for h in halves
         ]
         combined = _AggCombine().execute_chunk(partials, None)
-        final = _AggFinalize(["k"], specs, "flat", False).execute_chunk(
+        final = _AggFinalize(["k"], specs, "flat").execute_chunk(
             [combined], None
         )
         exp = df.groupby("k").agg(

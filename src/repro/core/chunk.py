@@ -141,8 +141,8 @@ class ChunkMeta:
 class ChunkNode:
     """One node of the chunk graph.
 
-    ``op`` is the chunk-level operator instance (possibly a staged one,
-    e.g. ``GroupByAgg`` at stage "map"); ``inputs`` are the upstream
+    ``op`` is the chunk-level operator instance (e.g. a groupby's map
+    node or a shuffle reducer); ``inputs`` are the upstream
     chunks whose payloads ``op.execute`` reads; ``index`` is the (r, c)
     distributed index of this chunk within its logical tileable.
     """
@@ -157,9 +157,7 @@ class ChunkNode:
         return hash(self.key)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        stage = getattr(self.op, "stage", None)
-        name = type(self.op).__name__ + (f"::{stage}" if stage else "")
-        return f"<Chunk {self.key} {name} idx={self.index}>"
+        return f"<Chunk {self.key} {type(self.op).__name__} idx={self.index}>"
 
 
 def estimate_nbytes(chunks: list[ChunkNode]) -> Optional[int]:
@@ -172,21 +170,3 @@ def estimate_nbytes(chunks: list[ChunkNode]) -> Optional[int]:
     mean = sum(sizes) / len(sizes)
     return int(sum(sizes) + mean * (len(chunks) - len(sizes)))
 
-
-def build_chunk_dag(result_chunks: list[ChunkNode]):
-    """Build the chunk-graph DAG reachable from ``result_chunks``."""
-    from .graph import DAG
-
-    dag: DAG[ChunkNode] = DAG()
-    stack = list(result_chunks)
-    seen: set[str] = set()
-    while stack:
-        c = stack.pop()
-        if c.key in seen:
-            continue
-        seen.add(c.key)
-        dag.add_node(c)
-        for inp in c.inputs:
-            dag.add_edge(inp, c)
-            stack.append(inp)
-    return dag

@@ -28,15 +28,12 @@ class EngineConfig:
       a merge is broadcast instead of shuffled (the TPCx-AI UC10
       imbalance case in Section VI-B).
     * ``graph_fusion`` / ``operator_fusion`` — Section V-A switches.
-    * ``probe_chunks`` — how many head chunks dynamic tiling executes to
-      collect metadata ("runs the operator on the first few chunks").
     """
 
     chunk_limit: int = 8 << 20  # 8 MiB default chunk upper bound
     dynamic_tiling: bool = True
     tree_reduce_threshold: int = 4 << 20
     broadcast_threshold: int = 4 << 20
-    probe_chunks: int = 2
     graph_fusion: bool = True
     operator_fusion: bool = True
     column_pruning: bool = True
@@ -67,11 +64,6 @@ class EngineConfig:
 
     def resolved_skew_key_limit(self) -> int:
         return self.skew_key_limit if self.skew_key_limit is not None else self.chunk_limit
-
-    def copy(self, **overrides) -> "EngineConfig":
-        from dataclasses import replace
-
-        return replace(self, **overrides)
 
 
 @dataclass

@@ -25,9 +25,10 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.storage.service import StorageService
 
-from .chunk import Buckets, ChunkNode, build_chunk_dag, ChunkMeta, payload_nbytes
+from .chunk import Buckets, ChunkNode, ChunkMeta, payload_nbytes
 from .config import EngineConfig
-from .graph import DAG
+from .graph import DAG, build_dag
+from .operators.base import ShuffleReduce
 from .scheduler import Scheduler, make_bands
 from .subtask import Subtask, build_subtask_graph
 
@@ -127,7 +128,7 @@ class SubtaskSpec:
         # the bucket it reads from each shuffle input; reducers never fuse
         # in, so a subtask holds at most one
         self.reducer = next((c.op.reducer for c in self.chunks
-                             if hasattr(c.op, "reducer")), None)
+                             if isinstance(c.op, ShuffleReduce)), None)
 
 
 class BaseExecutor:
@@ -210,7 +211,7 @@ class BaseExecutor:
         """The chunk graph still to run: walk back from the targets,
         stopping at stored chunks, so an already-materialised result
         never recomputes its ancestors."""
-        dag = build_chunk_dag(target_chunks)
+        dag = build_dag(target_chunks)
         needed: set[str] = set()
         stack = [c for c in target_chunks if not self._stored(c.key)]
         while stack:
@@ -307,26 +308,25 @@ class BaseExecutor:
         """Store each output and write its observed metadata onto its node
         in the pending graph (never onto a fused node, which shares only
         its tail's key)."""
-        band = spec.band or "w0-n0"
         for k, payload in outputs.items():
             if isinstance(payload, Buckets):
                 # shuffle mapper output: one entry per non-empty bucket
                 mapped = self.buckets[k] = Buckets(
                     {r: f"{k}::b{r}" for r in payload}, payload.empty)
                 for r, blk in payload.items():
-                    self.storage.put(mapped[r], blk, band=band, nbytes=sizes[k][r])
+                    self.storage.put(mapped[r], blk, band=spec.band,
+                                     nbytes=sizes[k][r])
                 meta = ChunkMeta(nbytes=sum(sizes[k].values()), observed=True)
             else:
-                self.storage.put(k, payload, band=band, nbytes=sizes[k])
+                self.storage.put(k, payload, band=spec.band, nbytes=sizes[k])
                 meta = ChunkMeta.from_payload(payload, nbytes=sizes[k], observed=True)
             nodes[k].meta = meta
 
     def _meter(self, spec: SubtaskSpec, peak_working: int) -> None:
         """Charge the subtask's peak transient working set (inputs +
         live intermediates) against its band."""
-        band = spec.band or "w0-n0"
-        self.storage.charge_transient(band, peak_working)
-        self.storage.release_transient(band, peak_working)
+        self.storage.charge_transient(spec.band, peak_working)
+        self.storage.release_transient(spec.band, peak_working)
 
 
 class LocalExecutor(BaseExecutor):

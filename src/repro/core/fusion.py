@@ -12,9 +12,9 @@ steps (paper Fig. 7):
    chains.
 
 Nodes sharing a color (and connected through same-color edges) merge
-into one subtask. Shuffle edges never fuse: reducer ops set
-``no_fuse_in`` and mapper ops set ``no_fuse_out``, which step 2 treats
-as a forced color break (a shuffle is an all-to-all; fusing across it
+into one subtask. Shuffle edges never fuse: a ``ShuffleReduce`` sets
+``no_fuse_in`` and a ``ShuffleMap`` sets ``no_fuse_out``, which step 2
+treats as a forced color break (a shuffle is an all-to-all; fusing across it
 would serialise the exchange into one task).
 
 Operator-level fusion then collapses maximal chains of *elementwise*

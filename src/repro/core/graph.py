@@ -98,3 +98,23 @@ class DAG(Generic[N]):
                 if s in keep:
                     g.add_edge(n, s)
         return g
+
+
+def build_dag(targets: Iterable[N]) -> DAG[N]:
+    """The DAG of ``targets`` and everything upstream of them, with an
+    edge from each of a node's ``inputs`` to it: the tileable graph of
+    some tileables, or the chunk graph of some chunks. Nodes are told
+    apart by ``key``."""
+    dag: DAG[N] = DAG()
+    stack = list(targets)
+    seen: set[str] = set()
+    while stack:
+        n = stack.pop()
+        if n.key in seen:
+            continue
+        seen.add(n.key)
+        dag.add_node(n)
+        for inp in n.inputs:
+            dag.add_edge(inp, n)
+            stack.append(inp)
+    return dag

@@ -15,20 +15,23 @@ Every Xorbits API is internally an operator implementing three methods:
 
 The default ``tile`` is the row-aligned 1:1 expansion that every
 projection, filter and elementwise op of both frontends shares: output
-chunk *i* reads chunk *i* of each input. :class:`Elementwise` (one
-kernel per chunk, for DataFrames and Tensors alike) and
-:class:`DataChunk` (the source holder of an in-memory slice) live here
-for the same reason.
+chunk *i* reads chunk *i* of each input. :func:`shuffle` is the one
+builder of a two-stage shuffle (paper Sections III-C, V-C): a
+:class:`ShuffleMap` per input chunk splits it into per-reducer buckets,
+and each :class:`ShuffleReduce` gathers its bucket from every mapper.
+Groupby, merge and sort vary only the split and reduce kernels.
+:class:`Elementwise` (one kernel per chunk, for DataFrames and Tensors
+alike) and :class:`DataChunk` (the source holder of an in-memory slice)
+live here for the same reason.
 """
 from __future__ import annotations
 
 import itertools
 import weakref
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from ..chunk import ChunkMeta, ChunkNode
 from ..config import EngineConfig, TileStats
-from ..graph import DAG
 
 _tileable_counter = itertools.count()
 
@@ -36,7 +39,7 @@ _tileable_counter = itertools.count()
 class Tileable:
     """A node of the tileable graph: the logical result of one operator.
 
-    ``shape_hint`` etc. are planning-time hints only; authoritative
+    ``columns_hint`` is a planning-time hint only; authoritative
     metadata is what execution records on the chunk nodes (the whole
     point of dynamic tiling is that hints can be wrong or absent).
     """
@@ -46,7 +49,6 @@ class Tileable:
         op: "Operator",
         inputs: Sequence["Tileable"],
         out_slot: int = 0,
-        shape_hint: Optional[tuple] = None,
         columns_hint: Optional[list] = None,
         kind: str = "dataframe",  # "dataframe" | "series" | "tensor" | "scalar"
     ) -> None:
@@ -54,7 +56,6 @@ class Tileable:
         self.inputs = list(inputs)
         self.out_slot = out_slot
         self.key = f"t{next(_tileable_counter)}"
-        self.shape_hint = shape_hint
         self.columns_hint = columns_hint
         self.kind = kind
         self.chunks: Optional[list[ChunkNode]] = None  # set by the tiler
@@ -68,26 +69,24 @@ class Operator:
 
     Subclasses set ``output_count`` and implement :meth:`execute_chunk`;
     any op that is not 1:1 row-aligned also overrides :meth:`tile`.
-    Chunk-level (staged) operators — e.g.
-    ``GroupByAgg`` at stage "map" — are separate lightweight instances
-    created inside ``tile``; only :meth:`execute_chunk` is called on
-    them.
+    The chunk-level ops a ``tile`` builds (a groupby's map and combine
+    nodes, a shuffle's mappers and reducers) are separate lightweight
+    instances; only :meth:`execute_chunk` is called on them.
     """
 
     output_count = 1
     #: set on chunk-level ops across whose *incoming* edges graph-level
-    #: fusion must not fuse (shuffle reducers gather from many mappers).
+    #: fusion must not fuse (shuffle reducers and combine nodes gather
+    #: from many chunks).
     no_fuse_in = False
-    #: set on chunk-level ops across whose *outgoing* edges fusion must
-    #: not fuse (shuffle mappers scatter to many reducers).
+    #: set only on :class:`ShuffleMap`: fusion never crosses its
+    #: outgoing edges (a mapper scatters to many reducers).
     no_fuse_out = False
-    #: stage label for staged chunk ops ("map" / "combine" / "reduce"...)
-    stage: Optional[str] = None
     #: chunk-level elementwise ops eligible for operator-level fusion
     elementwise = False
-    #: the default ``tile`` copies the first input chunk's shape onto
-    #: each output chunk as a hint: set only on ops whose output has
-    #: exactly its first input's rows
+    #: the default ``tile`` copies the shape of an input chunk that is
+    #: not broadcast onto each output chunk as a hint: set only on ops
+    #: whose output has exactly that input's rows
     preserves_shape = False
 
     #: weak references to this op's output tileables. A tileable owns
@@ -132,6 +131,8 @@ class Operator:
         The default is the row-aligned 1:1 expansion: every input has
         either one chunk, which is broadcast, or ``n``; output chunk
         ``i`` (index ``(i, 0)``) runs this op on chunk ``i`` of each.
+        A shape hint comes from the first input with ``n`` chunks, never
+        from a broadcast one.
         """
         in_lists = [ctx.input_chunks(i) for i in range(len(ctx.inputs))]
         n = max(len(l) for l in in_lists)
@@ -139,10 +140,11 @@ class Operator:
             f"{getattr(self, 'name', type(self).__name__)}: misaligned "
             f"chunking {[len(l) for l in in_lists]}"
         )
+        full = next(l for l in in_lists if len(l) == n)
         chunks = []
         for i in range(n):
             ins = [l[i] if len(l) == n else l[0] for l in in_lists]
-            shape = ins[0].meta.shape if self.preserves_shape else None
+            shape = full[i].meta.shape if self.preserves_shape else None
             chunks.append(ChunkNode(op=self, inputs=ins, index=(i, 0),
                                     meta=ChunkMeta(shape=shape)))
         return [chunks]
@@ -195,20 +197,53 @@ class DataChunk(Operator):
         return self.data
 
 
-def build_tileable_dag(targets: Iterable[Tileable]) -> DAG[Tileable]:
-    dag: DAG[Tileable] = DAG()
-    stack = list(targets)
-    seen: set[str] = set()
-    while stack:
-        t = stack.pop()
-        if t.key in seen:
-            continue
-        seen.add(t.key)
-        dag.add_node(t)
-        for inp in t.inputs:
-            dag.add_edge(inp, t)
-            stack.append(inp)
-    return dag
+class ShuffleMap(Operator):
+    """Map stage of a shuffle: ``split(payload)`` returns the chunk's
+    :class:`~repro.core.chunk.Buckets`, reducer id → block. The only op
+    that sets ``no_fuse_out``: a mapper scatters to every reducer."""
+
+    no_fuse_out = True
+
+    def __init__(self, split: Callable) -> None:
+        self.split = split
+
+    def execute_chunk(self, inputs, chunk):
+        return self.split(inputs[0])
+
+
+class ShuffleReduce(Operator):
+    """Reduce stage of a shuffle: ``reduce(blocks)`` over bucket
+    ``reducer`` of every mapper, one block per mapper in mapper order.
+    The only op with a ``reducer`` id; the executor gathers that bucket
+    of each shuffle input."""
+
+    no_fuse_in = True
+
+    def __init__(self, reducer: int, reduce: Callable) -> None:
+        self.reducer = reducer
+        self.reduce = reduce
+
+    def execute_chunk(self, inputs, chunk):
+        return self.reduce(inputs)
+
+
+def shuffle(sides: Sequence[tuple[list[ChunkNode], Callable]], n: int,
+            reduce: Callable) -> list[ChunkNode]:
+    """The one shuffle builder. ``sides`` is a list of ``(chunks,
+    split)`` pairs: chunk ``i`` of a side gets a :class:`ShuffleMap` at
+    index ``(i, 0)``. Returns the ``n`` :class:`ShuffleReduce` chunks,
+    reducer ``r`` at index ``(r, 0)``, each reading every mapper in side
+    order."""
+    maps = [
+        ChunkNode(op=ShuffleMap(split), inputs=[c], index=(i, 0), meta=ChunkMeta())
+        for chunks, split in sides
+        for i, c in enumerate(chunks)
+    ]
+    return [
+        ChunkNode(op=ShuffleReduce(r, reduce), inputs=list(maps), index=(r, 0),
+                  meta=ChunkMeta())
+        for r in range(n)
+    ]
 
 
 class TileContext:

@@ -1,11 +1,16 @@
 """DataFrame operators (paper Sections III-C, IV).
 
 Implements the multi-stage map–combine–reduce model for ``groupby.agg``,
-the dynamic-tiling paths for ``merge`` (broadcast / shuffle / skew) and
-``iloc`` (the paper's 4-8-5 filtered-chunk example), and the 1:1
-projection, filter and rename operators that graph- and operator-level
-fusion later merge into subtasks (their ``tile`` is the shared
-row-aligned default of :class:`~.base.Operator`).
+the dynamic-tiling paths for ``merge`` (broadcast / shuffle / skew),
+``sort_values`` (single node / range shuffle) and ``iloc`` (the paper's
+4-8-5 filtered-chunk example), and the 1:1 projection, filter and rename
+operators that graph- and operator-level fusion later merge into
+subtasks (their ``tile`` is the shared row-aligned default of
+:class:`~.base.Operator`). Every shuffle is built by
+:func:`~.base.shuffle`; groupby, merge and sort supply only its split
+and reduce kernels, module-level functions bound to their parameters
+with ``functools.partial``, so a shipped reducer pickles to a function
+reference plus a few keys.
 
 Every operator works in two modes:
 
@@ -30,13 +35,17 @@ from ..automerge import combine_tree
 from ..chunk import (Buckets, ChunkMeta, ChunkNode, estimate_nbytes,
                      payload_nbytes)
 from ..reduce_select import choose_reduce
-from .base import DataChunk, Operator, TileContext
+from .base import DataChunk, Operator, TileContext, shuffle
 
 # --------------------------------------------------------------------------
 # helpers
 # --------------------------------------------------------------------------
 
 ALGEBRAIC_FUNCS = {"sum", "count", "min", "max", "mean", "size"}
+
+#: how many head chunks dynamic tiling executes to collect metadata
+#: ("runs the operator on the first few chunks", paper Section IV-B)
+PROBE_CHUNKS = 2
 
 
 def split_pandas(pdf: pd.DataFrame, max_bytes: int) -> list[pd.DataFrame]:
@@ -282,16 +291,13 @@ class Rename(Operator):
 
 
 class ConcatChunks(Operator):
-    """Chunk-level concat of its inputs (axis 0) — the paper's ``Concat``
+    """Chunk-level row concat of its inputs — the paper's ``Concat``
     node in the combine stage and in auto merge."""
-
-    def __init__(self, axis: int = 0) -> None:
-        self.axis = axis
 
     def execute_chunk(self, inputs, chunk):
         if len(inputs) == 1:
             return inputs[0]
-        return pd.concat(inputs, axis=self.axis)
+        return pd.concat(inputs)
 
 
 class Concat(Operator):
@@ -409,8 +415,6 @@ class _AggMap(Operator):
     """Map stage: per-chunk partial aggregation (algebraic funcs are
     decomposed, e.g. mean → sum + count)."""
 
-    stage = "map"
-
     def __init__(self, keys: list[str], specs: list[tuple], series_name=None) -> None:
         self.keys = keys
         self.specs = specs  # normalized (out, col, func)
@@ -460,7 +464,6 @@ class _AggCombine(Operator):
     """Combine stage: merge a subset of partial results (pre-aggregation
     that keeps any one node's gather small — paper Section III-C)."""
 
-    stage = "combine"
     no_fuse_in = True
 
     def execute_chunk(self, inputs, chunk):
@@ -470,7 +473,6 @@ class _AggCombine(Operator):
 class _AggFinalize(Operator):
     """Reduce stage of the tree path: combine + finalize to user columns."""
 
-    stage = "agg"
     no_fuse_in = True
 
     def __init__(self, keys, specs, layout: str) -> None:
@@ -491,62 +493,30 @@ class _AggFinalize(Operator):
         return _user_layout(pd.DataFrame(out), self.keys, self.layout)
 
 
-class _AggShuffleMap(Operator):
-    """Shuffle-reduce map stage: partial-agg (algebraic) or raw rows
-    (general funcs), hash-split by group key into reducer buckets."""
-
-    stage = "map"
-    no_fuse_out = True
-
-    def __init__(self, keys, specs, n_reducers: int, algebraic: bool,
-                 series_name=None) -> None:
-        self.keys = keys
-        self.specs = specs
-        self.n_reducers = n_reducers
-        self.algebraic = algebraic
-        self.series_name = series_name
-
-    def execute_chunk(self, inputs, chunk):
-        df = inputs[0]
-        if isinstance(df, pd.Series):
-            df = df.to_frame(self.series_name or df.name or "__val__")
-        if self.algebraic:
-            partial = _AggMap(self.keys, self.specs, self.series_name).execute_chunk(
-                [df], chunk
-            )
-            flat = partial.reset_index()
-        else:
-            flat = df
-        return hash_partition(flat, self.keys, self.n_reducers)
+def _agg_split(df, keys, specs, n, algebraic, series_name):
+    """Shuffle map of a groupby: partial-agg (algebraic) or raw rows
+    (general funcs), hash-split by group key into ``n`` buckets."""
+    if isinstance(df, pd.Series):
+        df = df.to_frame(series_name or df.name or "__val__")
+    if algebraic:
+        df = _AggMap(keys, specs, series_name).execute_chunk([df], None).reset_index()
+    return hash_partition(df, keys, n)
 
 
-class _AggShuffleReduce(Operator):
-    """Shuffle-reduce reduce stage: gather this reducer's blocks, final
-    aggregate with full pandas semantics (supports non-algebraic funcs
-    like ``nunique`` / ``median``)."""
-
-    stage = "agg"
-    no_fuse_in = True
-
-    def __init__(self, keys, specs, reducer: int, layout: str, algebraic: bool) -> None:
-        self.keys = keys
-        self.specs = specs
-        self.reducer = reducer
-        self.layout = layout
-        self.algebraic = algebraic
-
-    def execute_chunk(self, inputs, chunk):
-        df = _concat_parts(inputs)
-        if self.algebraic:
-            df = df.set_index(self.keys)
-            fin = _AggFinalize(self.keys, self.specs, self.layout)
-            return fin.execute_chunk([df], chunk)
-        g = df.groupby(self.keys, sort=True, observed=True)
-        out = {}
-        for out_name, col, func in self.specs:
-            src = g[col] if col is not None else g
-            out[out_name] = src.size() if func == "size" else src.agg(func)
-        return _user_layout(pd.DataFrame(out), self.keys, self.layout)
+def _agg_reduce(blocks, keys, specs, layout, algebraic):
+    """Shuffle reduce of a groupby: final aggregate of one bucket with
+    full pandas semantics (supports non-algebraic funcs like
+    ``nunique`` / ``median``)."""
+    df = _concat_parts(blocks)
+    if algebraic:
+        fin = _AggFinalize(keys, specs, layout)
+        return fin.execute_chunk([df.set_index(keys)], None)
+    g = df.groupby(keys, sort=True, observed=True)
+    out = {}
+    for out_name, col, func in specs:
+        src = g[col] if col is not None else g
+        out[out_name] = src.size() if func == "size" else src.agg(func)
+    return _user_layout(pd.DataFrame(out), keys, layout)
 
 
 class GroupByAgg(Operator):
@@ -572,7 +542,7 @@ class GroupByAgg(Operator):
             # graph, yield it for execution, read back real sizes. The
             # probed *inputs* are requested too — they are fused
             # intermediates otherwise, and the ratio needs their size.
-            k = min(cfg.probe_chunks, len(in_chunks))
+            k = min(PROBE_CHUNKS, len(in_chunks))
             probes = [
                 ChunkNode(op=_AggMap(self.keys, specs, self.series_name),
                           inputs=[c], index=(i, 0), meta=ChunkMeta())
@@ -601,20 +571,11 @@ class GroupByAgg(Operator):
             final = partial(_AggFinalize, self.keys, specs, self.layout)
             return [[combine_tree(ctx, maps, _AggCombine, final)]]
 
-        # shuffle-reduce
-        maps = [
-            ChunkNode(op=_AggShuffleMap(self.keys, specs, n_reducers,
-                                        self.algebraic, self.series_name),
-                      inputs=[c], index=(i, 0), meta=ChunkMeta())
-            for i, c in enumerate(in_chunks)
-        ]
-        reducers = [
-            ChunkNode(op=_AggShuffleReduce(self.keys, specs, r, self.layout,
-                                           self.algebraic),
-                      inputs=list(maps), index=(r, 0), meta=ChunkMeta())
-            for r in range(n_reducers)
-        ]
-        return [reducers]
+        split = partial(_agg_split, keys=self.keys, specs=specs, n=n_reducers,
+                        algebraic=self.algebraic, series_name=self.series_name)
+        reduce = partial(_agg_reduce, keys=self.keys, specs=specs,
+                         layout=self.layout, algebraic=self.algebraic)
+        return [shuffle([(in_chunks, split)], n_reducers, reduce)]
 
     def _resolved_specs(self, ctx: TileContext):
         """Resolve ``agg('sum')``-style whole-frame specs against the
@@ -688,8 +649,6 @@ class _MergeBroadcast(Operator):
     side — chosen when dynamic tiling observes a tiny build side (the
     TPCx-AI UC10 imbalance case)."""
 
-    stage = "broadcast"
-
     def __init__(self, kw: _MergeKw, small_side: str) -> None:
         self.kw = kw
         self.small_side = small_side  # "left" | "right"
@@ -702,64 +661,44 @@ class _MergeBroadcast(Operator):
         return small.merge(big, **self.kw.pandas_kwargs())
 
 
-class _MergeShuffleMap(Operator):
-    stage = "map"
-    no_fuse_out = True
-
-    def __init__(self, keys: list[str], n_reducers: int,
+def _merge_split(df, keys: list[str], n: int,
                  hot_keys: Optional[frozenset] = None, hot_buckets: int = 0,
-                 replicate_hot: bool = False) -> None:
-        self.keys = keys
-        self.n_reducers = n_reducers
-        self.hot_keys = hot_keys
-        self.hot_buckets = hot_buckets
-        # build side replicates hot rows to every hot bucket; probe side
-        # round-robins them
-        self.replicate_hot = replicate_hot
-
-    def execute_chunk(self, inputs, chunk):
-        df = inputs[0]
-        total = self.n_reducers + self.hot_buckets
-        if not self.hot_keys:
-            return hash_partition(df, self.keys, self.n_reducers, total=total)
-        if len(self.keys) == 1:
-            hot_mask = df[self.keys[0]].isin(self.hot_keys).to_numpy()
+                 replicate_hot: bool = False):
+    """Shuffle map of a merge side: hash-split by join key into ``n``
+    buckets; rows with a hot key go to the ``hot_buckets`` after them.
+    The build side replicates its hot rows to every hot bucket
+    (``replicate_hot``); the probe side round-robins them."""
+    total = n + hot_buckets
+    if not hot_keys:
+        return hash_partition(df, keys, n, total=total)
+    if len(keys) == 1:
+        hot_mask = df[keys[0]].isin(hot_keys).to_numpy()
+    else:
+        hot_mask = pd.MultiIndex.from_frame(df[keys]).isin(hot_keys)
+    cold = df.iloc[np.flatnonzero(~hot_mask)]
+    hot = df.iloc[np.flatnonzero(hot_mask)]
+    out = hash_partition(cold, keys, n, total=total)
+    if len(hot):
+        if replicate_hot:
+            for r in range(n, total):
+                out[r] = pd.concat([out.get(r, out.empty), hot])
         else:
-            hot_mask = pd.MultiIndex.from_frame(df[self.keys]).isin(self.hot_keys)
-        cold = df.iloc[np.flatnonzero(~hot_mask)]
-        hot = df.iloc[np.flatnonzero(hot_mask)]
-        out = hash_partition(cold, self.keys, self.n_reducers, total=total)
-        if len(hot):
-            if self.replicate_hot:
-                for b in range(self.hot_buckets):
-                    r = self.n_reducers + b
-                    out[r] = pd.concat([out.get(r, out.empty), hot])
-            else:
-                assign = np.arange(len(hot)) % self.hot_buckets
-                for b in range(self.hot_buckets):
-                    part = hot.iloc[np.flatnonzero(assign == b)]
-                    if len(part):
-                        r = self.n_reducers + b
-                        out[r] = pd.concat([out.get(r, out.empty), part])
-        return out
+            assign = np.arange(len(hot)) % hot_buckets
+            for b in range(hot_buckets):
+                part = hot.iloc[np.flatnonzero(assign == b)]
+                if len(part):
+                    out[n + b] = pd.concat([out.get(n + b, out.empty), part])
+    return out
 
 
-class _MergeShuffleReduce(Operator):
-    stage = "reduce"
-    no_fuse_in = True
-
-    def __init__(self, kw: _MergeKw, reducer: int, n_left: int) -> None:
-        self.kw = kw
-        self.reducer = reducer
-        self.n_left = n_left  # first n_left inputs are left-side mappers
-
-    def execute_chunk(self, inputs, chunk):
-        # The executor hands every bucket a mapper did not store as that
-        # mapper's zero-row ``empty``, so both sides' column structure is
-        # always here; merging empty sides yields the right output columns.
-        left = _concat_parts(inputs[: self.n_left])
-        right = _concat_parts(inputs[self.n_left:])
-        return left.merge(right, **self.kw.pandas_kwargs())
+def _merge_reduce(blocks, kw: _MergeKw, n_left: int):
+    """Shuffle reduce of a merge: the first ``n_left`` blocks are the left
+    side's. The executor hands every bucket a mapper did not store as
+    that mapper's zero-row ``empty``, so both sides' column structure is
+    always here; merging empty sides yields the right output columns."""
+    left = _concat_parts(blocks[:n_left])
+    right = _concat_parts(blocks[n_left:])
+    return left.merge(right, **kw.pandas_kwargs())
 
 
 class Merge(Operator):
@@ -780,8 +719,8 @@ class Merge(Operator):
         hot_keys: Optional[frozenset] = None
         hot_bytes = 0
         if cfg.dynamic_tiling:
-            k = max(1, cfg.probe_chunks)
-            probes = [c for c in left[:k] + right[:k] if not c.meta.observed]
+            probes = [c for c in left[:PROBE_CHUNKS] + right[:PROBE_CHUNKS]
+                      if not c.meta.observed]
             if probes:
                 yield probes
             est_l = estimate_nbytes(left)
@@ -821,25 +760,16 @@ class Merge(Operator):
         # probe side = the preserved/larger side (left for how='left');
         # build side replicates its hot rows to every hot bucket.
         probe_is_left = self.kw.how in ("left", "inner")
-        lmaps = [
-            ChunkNode(op=_MergeShuffleMap(lkeys, n_red, hot_fs, hot_buckets,
-                                          replicate_hot=use_hot and not probe_is_left),
-                      inputs=[c], index=(i, 0), meta=ChunkMeta())
-            for i, c in enumerate(left)
+        split = partial(_merge_split, n=n_red, hot_keys=hot_fs,
+                        hot_buckets=hot_buckets)
+        sides = [
+            (left, partial(split, keys=lkeys,
+                           replicate_hot=use_hot and not probe_is_left)),
+            (right, partial(split, keys=rkeys,
+                            replicate_hot=use_hot and probe_is_left)),
         ]
-        rmaps = [
-            ChunkNode(op=_MergeShuffleMap(rkeys, n_red, hot_fs, hot_buckets,
-                                          replicate_hot=use_hot and probe_is_left),
-                      inputs=[c], index=(i, 0), meta=ChunkMeta())
-            for i, c in enumerate(right)
-        ]
-        total = n_red + hot_buckets
-        reducers = [
-            ChunkNode(op=_MergeShuffleReduce(self.kw, r, len(lmaps)),
-                      inputs=lmaps + rmaps, index=(r, 0), meta=ChunkMeta())
-            for r in range(total)
-        ]
-        return [reducers]
+        reduce = partial(_merge_reduce, kw=self.kw, n_left=len(left))
+        return [shuffle(sides, n_red + hot_buckets, reduce)]
 
     def required_input_columns(self, required_out):
         if required_out is None:
@@ -903,6 +833,12 @@ def _detect_hot_keys(ctx, left, right, lkeys, rkeys):
 # --------------------------------------------------------------------------
 
 
+def _sort(df, by, ascending):
+    if isinstance(df, pd.Series):
+        return df.sort_values(ascending=ascending)
+    return df.sort_values(by, ascending=ascending, kind="mergesort")
+
+
 class _SortChunk(Operator):
     def __init__(self, by, ascending) -> None:
         self.by = by
@@ -910,41 +846,22 @@ class _SortChunk(Operator):
 
     def execute_chunk(self, inputs, chunk):
         df = pd.concat(inputs) if len(inputs) > 1 else inputs[0]
-        if isinstance(df, pd.Series):
-            return df.sort_values(ascending=self.ascending)
-        return df.sort_values(self.by, ascending=self.ascending, kind="mergesort")
+        return _sort(df, self.by, self.ascending)
 
 
-class _RangeSplit(Operator):
-    """Range-partition a chunk by sort-key quantile bounds."""
-
-    no_fuse_out = True
-
-    def __init__(self, by, bounds, ascending) -> None:
-        self.by = by
-        self.bounds = bounds
-        self.ascending = ascending
-
-    def execute_chunk(self, inputs, chunk):
-        df = inputs[0]
-        key = df[self.by[0]] if isinstance(self.by, list) else df[self.by]
-        codes = np.searchsorted(self.bounds, key.to_numpy(), side="right")
-        if not self.ascending:
-            codes = len(self.bounds) - codes
-        return _split_by_codes(df, codes, len(self.bounds) + 1)
+def _range_split(df, by, bounds, ascending):
+    """Shuffle map of a sort: range-partition a chunk by sort-key
+    quantile bounds into ``len(bounds) + 1`` buckets."""
+    key = df[by[0]] if isinstance(by, list) else df[by]
+    codes = np.searchsorted(bounds, key.to_numpy(), side="right")
+    if not ascending:
+        codes = len(bounds) - codes
+    return _split_by_codes(df, codes, len(bounds) + 1)
 
 
-class _RangeSortReduce(_SortChunk):
-    """Sort one range bucket: ``_SortChunk`` over the gathered parts."""
-
-    no_fuse_in = True
-
-    def __init__(self, by, ascending, reducer) -> None:
-        super().__init__(by, ascending)
-        self.reducer = reducer
-
-    def execute_chunk(self, inputs, chunk):
-        return super().execute_chunk([_concat_parts(inputs)], chunk)
+def _range_sort(blocks, by, ascending):
+    """Shuffle reduce of a sort: sort one range bucket."""
+    return _sort(_concat_parts(blocks), by, ascending)
 
 
 class SortValues(Operator):
@@ -963,7 +880,7 @@ class SortValues(Operator):
         # shuffle orders on the first key only
         rangeable = not isinstance(self.ascending, (list, tuple))
         if cfg.dynamic_tiling and rangeable:
-            probes = [c for c in in_chunks[: cfg.probe_chunks] if not c.meta.observed]
+            probes = [c for c in in_chunks[:PROBE_CHUNKS] if not c.meta.observed]
             if probes:
                 yield probes
             est = estimate_nbytes(in_chunks)
@@ -973,19 +890,12 @@ class SortValues(Operator):
             return [[out]]
         n_red = max(1, math.ceil(est / cfg.chunk_limit))
         bounds = self._sample_bounds(ctx, in_chunks, n_red)
-        maps = [
-            ChunkNode(op=_RangeSplit(self.by, bounds, self.ascending), inputs=[c],
-                      index=(i, 0), meta=ChunkMeta())
-            for i, c in enumerate(in_chunks)
-        ]
+        split = partial(_range_split, by=self.by, bounds=bounds,
+                        ascending=self.ascending)
+        reduce = partial(_range_sort, by=self.by, ascending=self.ascending)
         # bucket count must match what the mappers emit: quantile bounds
         # may dedup to fewer splits than requested
-        reducers = [
-            ChunkNode(op=_RangeSortReduce(self.by, self.ascending, r),
-                      inputs=list(maps), index=(r, 0), meta=ChunkMeta())
-            for r in range(len(bounds) + 1)
-        ]
-        return [reducers]
+        return [shuffle([(in_chunks, split)], len(bounds) + 1, reduce)]
 
     def _sample_bounds(self, ctx, in_chunks, n_red):
         samples = []
@@ -1034,8 +944,6 @@ class MapGather(Operator):
 
 
 class _DedupMap(Operator):
-    stage = "map"
-
     def __init__(self, subset) -> None:
         self.subset = subset
 
@@ -1049,7 +957,6 @@ class _DedupMap(Operator):
 class _DedupReduce(_DedupMap):
     """Dedup the concat of its inputs: ``_DedupMap``'s kernel."""
 
-    stage = "agg"
     no_fuse_in = True
 
     def execute_chunk(self, inputs, chunk):
@@ -1079,8 +986,6 @@ class DropDuplicates(Operator):
 
 
 class _ScalarMap(Operator):
-    stage = "map"
-
     def __init__(self, func: str) -> None:
         self.func = func
 
@@ -1099,7 +1004,6 @@ class _ScalarMap(Operator):
 
 
 class _ScalarReduce(Operator):
-    stage = "agg"
     no_fuse_in = True
 
     def __init__(self, func: str) -> None:

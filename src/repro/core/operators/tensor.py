@@ -35,12 +35,9 @@ class _RandomChunk(Operator):
         return np.random.default_rng(self.seed).random(self.shape)
 
 
-def _tile_rows(shape, itemsize, cfg, fixed_cols: bool = True):
+def _tile_rows(shape, itemsize, cfg):
     """Row-chunk a 1-D/2-D shape via Algorithm 1 (columns unsplit)."""
-    if len(shape) == 1:
-        plan = auto_rechunk(shape, {}, itemsize, cfg.chunk_limit)
-        return chunk_slices(plan[0])
-    dim_to_size = {1: shape[1]} if fixed_cols else {}
+    dim_to_size = {1: shape[1]} if len(shape) > 1 else {}
     plan = auto_rechunk(shape, dim_to_size, itemsize, cfg.chunk_limit)
     return chunk_slices(plan[0])
 
@@ -165,8 +162,6 @@ class TensorMapReduce(Operator):
 class _QRMap(Operator):
     """Local QR of one row chunk → (Q_i, R_i) tuple payload."""
 
-    stage = "map"
-
     def execute_chunk(self, inputs, chunk):
         q, r = np.linalg.qr(inputs[0])
         return (q, r)
@@ -176,7 +171,6 @@ class _QRStack(Operator):
     """Stack all R_i, QR the stack → (Q2, R). Q2 rows align with the
     stacked R_i blocks; the back-multiply picks its block by offset."""
 
-    stage = "agg"
     no_fuse_in = True
 
     def execute_chunk(self, inputs, chunk):

@@ -17,7 +17,8 @@ from typing import Iterable
 from .chunk import ChunkNode
 from .config import EngineConfig, TileStats
 from .executor import BaseExecutor
-from .operators.base import Tileable, TileContext, build_tileable_dag, run_tile
+from .graph import build_dag
+from .operators.base import Tileable, TileContext, run_tile
 from .pruning import apply_pruning
 
 
@@ -48,7 +49,7 @@ class GraphTiler:
         return holds
 
     def _tile(self, targets: list[Tileable], holds: list[str]) -> None:
-        dag = build_tileable_dag(targets)
+        dag = build_dag(targets)
         if self.cfg.column_pruning:
             stale = apply_pruning(dag)
             if stale:

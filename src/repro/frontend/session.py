@@ -12,6 +12,7 @@ from __future__ import annotations
 import weakref
 from typing import Any, Optional
 
+import numpy as np
 import pandas as pd
 
 from repro.core.config import EngineConfig
@@ -59,28 +60,15 @@ class XSession:
         return [self._fetch(t) for t in tileables]
 
     def _fetch(self, t: Tileable) -> Any:
-        raw = self.executor.fetch(t.chunks)
-        if t.kind == "scalar":
-            return raw[0]
-        if t.kind == "tensor":
-            import numpy as np
-
-            rows: dict[int, list] = {}
-            for chunk, p in zip(t.chunks, raw):
-                r, c = chunk.index
-                rows.setdefault(r, []).append((c, p))
-            stacked = [
-                np.concatenate([p for _c, p in sorted(parts, key=lambda x: x[0])], axis=1)
-                if len(parts) > 1
-                else parts[0][1]
-                for _r, parts in sorted(rows.items())
-            ]
-            return np.concatenate(stacked, axis=0) if len(stacked) > 1 else stacked[0]
-        # dataframe/series: concat row chunks in (r) order
-        ordered = sorted(zip(t.chunks, raw), key=lambda cp: cp[0].index)
+        """A single payload as is; else the chunks in row order, ndarrays
+        joined by ``np.concatenate`` and frames or series by ``pd.concat``."""
+        ordered = sorted(zip(t.chunks, self.executor.fetch(t.chunks)),
+                         key=lambda cp: cp[0].index)
         payloads = [p for _c, p in ordered]
         if len(payloads) == 1:
             return payloads[0]
+        if isinstance(payloads[0], np.ndarray):
+            return np.concatenate(payloads)
         return pd.concat(payloads)
 
     def close(self) -> None:

@@ -217,7 +217,7 @@ class TestMergeSelection:
         monkeypatch.setattr(ops, "_detect_hot_keys", recording_detect)
         out = lf.merge(rf, on="k")
         out.execute()
-        k = sess.cfg.probe_chunks
+        k = ops.PROBE_CHUNKS
         sources = lf._t.chunks + rf._t.chunks
         assert all(c.meta.nbytes for c in sources)
         assert [c.meta.observed for c in lf._t.chunks] == (

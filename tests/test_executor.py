@@ -16,7 +16,7 @@ from repro.core.chunk import ChunkMeta, ChunkNode
 from repro.core.config import EngineConfig
 from repro.core.executor import LocalExecutor, SimulatedHang, run_subtask
 from repro.core.operators.base import Elementwise, Operator
-from repro.core.operators.dataframe import DataChunk
+from repro.core.operators.dataframe import PROBE_CHUNKS, DataChunk
 from repro.storage.service import SimulatedOOM, StorageService
 
 
@@ -582,7 +582,7 @@ class TestLifetimes:
         import gc
         import weakref
 
-        from repro.core.chunk import build_chunk_dag
+        from repro.core.graph import build_dag
         from repro.frontend import dataframe as xpd
         from repro.frontend.session import XSession
 
@@ -594,7 +594,7 @@ class TestLifetimes:
             lf, rf = xpd.from_pandas(left, sess), xpd.from_pandas(right, sess)
             out = lf.merge(rf, on="k").groupby("k").agg({"w": "sum"})
             out.execute()
-            metas = [c.meta for c in build_chunk_dag(out._t.chunks).nodes()
+            metas = [c.meta for c in build_dag(out._t.chunks).nodes()
                      if c.meta.observed]
             assert len(metas) > len(out._t.chunks)
             alive = [weakref.ref(m) for m in metas]
@@ -660,7 +660,7 @@ class TestLifetimes:
         yields = sess.stats.yields
         got = df.merge(rf, on="k").to_pandas()
         # one probe, of the unexecuted side only; then the final graph
-        k = sess.cfg.probe_chunks
+        k = PROBE_CHUNKS
         assert sess.stats.yields == yields + 1
         assert targets[0] == {c.key for c in rf._t.chunks[:k]}
         assert not {c.key for c in df._t.chunks} & set().union(*targets)

@@ -124,6 +124,20 @@ class TestTSQR:
         _, r_ref = np.linalg.qr(a_np)
         np.testing.assert_allclose(np.abs(r.to_numpy()), np.abs(r_ref), atol=1e-8)
 
+    def test_qr_of_broadcast_row_plus_matrix(self):
+        """QR trusts its input's shape hints, so a row broadcast on the
+        left must not hint every chunk as the row."""
+        s = XSession(EngineConfig(chunk_limit=16_000, n_workers=2, bands_per_worker=2))
+        a = np.random.default_rng(1).random((2000, 4))
+        row = np.arange(4.0)
+        t = xnp.array(row, s) + xnp.array(a, s)
+        q, r = xnp.linalg.qr(t)
+        q_np, r_np = q.to_numpy(), r.to_numpy()
+        assert len(t._t.chunks) > 1
+        np.testing.assert_allclose(q_np @ r_np, row + a, atol=1e-10)
+        np.testing.assert_allclose(q_np.T @ q_np, np.eye(4), atol=1e-10)
+        s.close()
+
     def test_short_chunks_automerged(self, sess):
         """Chunks shorter than n_cols must be merged before local QR —
         the step Dask offloads to the user."""

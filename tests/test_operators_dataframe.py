@@ -11,10 +11,10 @@ from repro.core.operators.dataframe import (
     _AggCombine,
     _AggFinalize,
     _AggMap,
-    _MergeShuffleMap,
-    _RangeSplit,
     _concat_parts,
     _detect_hot_keys,
+    _merge_split,
+    _range_split,
     hash_partition,
     _split_by_codes,
     normalize_aggs,
@@ -151,7 +151,7 @@ class TestSplitByCodes:
         codes = np.searchsorted(bounds, df["key"].to_numpy(), side="right")
         if not ascending:
             codes = len(bounds) - codes
-        got = _RangeSplit(["key"], bounds, ascending).execute_chunk([df], None)
+        got = _range_split(df, ["key"], bounds, ascending)
         self._assert_same(got, _mask_split(df, codes, len(bounds) + 1))
         assert len(got) < len(bounds) + 1
         pd.testing.assert_series_equal(got.empty.dtypes, df.dtypes)
@@ -276,7 +276,7 @@ class TestCompositeHotKeys:
         df = self.tied_frame()
         keys = ["a", "b"]
         hot = frozenset(self.tuple_top20(df, keys)[:5])
-        out = _MergeShuffleMap(keys, 4, hot, hot_buckets=2).execute_chunk([df], None)
+        out = _merge_split(df, keys, 4, hot, hot_buckets=2)
         tuple_mask = df[keys].astype(object).apply(tuple, axis=1).isin(hot)
         cold = hash_partition(df[~tuple_mask], keys, 4, total=6)
         for r in range(4):

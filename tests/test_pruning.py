@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.config import EngineConfig
-from repro.core.operators.base import build_tileable_dag
+from repro.core.graph import build_dag
 from repro.core.pruning import apply_pruning, compute_required
 from repro.frontend import dataframe as xpd
 from repro.frontend.session import XSession
@@ -32,7 +32,7 @@ class TestComputeRequired:
         sess = session()
         df = xpd.from_pandas(pdf(), sess)
         out = df[["a", "b"]]
-        dag = build_tileable_dag([out._t])
+        dag = build_dag([out._t])
         req = compute_required(dag)
         assert req[df._t.key] == {"a", "b"}
 
@@ -40,7 +40,7 @@ class TestComputeRequired:
         sess = session()
         df = xpd.from_pandas(pdf(), sess)
         out = df.groupby("a").agg(total=("b", "sum"))
-        dag = build_tileable_dag([out._t])
+        dag = build_dag([out._t])
         req = compute_required(dag)
         # the source only needs the key and the aggregated column — the
         # intermediate projection has already narrowed it
@@ -51,7 +51,7 @@ class TestComputeRequired:
     def test_sink_requires_all(self):
         sess = session()
         df = xpd.from_pandas(pdf(), sess)
-        dag = build_tileable_dag([df._t])
+        dag = build_dag([df._t])
         req = compute_required(dag)
         assert req[df._t.key] is None
 
@@ -100,7 +100,7 @@ class TestIncrementalInvalidation:
         sess.run(narrow._t)
         assert df._t.op.pruned_columns == ["b"]
         wide = df[["a", "c"]]
-        dag = build_tileable_dag([wide._t])
+        dag = build_dag([wide._t])
         stale = apply_pruning(dag)
         assert [t.key for t in stale] == [df._t.key]
 
@@ -108,5 +108,5 @@ class TestIncrementalInvalidation:
         sess = session()
         df = xpd.from_pandas(pdf(), sess)
         sess.run(df[["a", "b"]]._t)
-        dag = build_tileable_dag([df[["b"]]._t])
+        dag = build_dag([df[["b"]]._t])
         assert apply_pruning(dag) == []

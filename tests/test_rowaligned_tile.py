@@ -100,6 +100,15 @@ def test_one_chunk_side_is_broadcast(name):
     assert [c.inputs[0] for c in out] == ins[0].chunks
 
 
+def test_hint_skips_a_broadcast_first_input():
+    """With the one-chunk side first, the shape hint still comes from the
+    side with ``n`` chunks."""
+    row, a = source([np.arange(3.0)]), source(blocks(3))
+    out = tile(Elementwise(lambda x, y: x + y), row, a)
+    assert [c.inputs for c in out] == [[row.chunks[0], c] for c in a.chunks]
+    assert [c.meta.shape for c in out] == [c.meta.shape for c in a.chunks]
+
+
 @pytest.mark.parametrize("name", [n for n in MULTI_INPUT if n != "matmul"])
 def test_misaligned_inputs_fail(name):
     make, payloads, _ = ONE_TO_ONE[name]
@@ -140,6 +149,16 @@ class TestFrontends:
         assert [c.index for c in t._t.chunks] == [(i, 0) for i in range(len(src_a.chunks))]
         assert [c.meta.shape for c in t._t.chunks] == [c.meta.shape for c in src_a.chunks]
         np.testing.assert_allclose(t.to_numpy(), a + row)
+
+    def test_xnp_broadcast_row_first(self, sess):
+        a = np.random.default_rng(0).random((2000, 4))
+        row = np.arange(4.0)
+        t = xnp.array(row, sess) + xnp.array(a, sess)
+        sess.tiler.tile([t._t])
+        src_row, src_a = t._t.inputs
+        assert len(src_a.chunks) > 1 and len(src_row.chunks) == 1
+        assert [c.meta.shape for c in t._t.chunks] == [c.meta.shape for c in src_a.chunks]
+        np.testing.assert_allclose(t.to_numpy(), row + a)
 
     def test_xpd_series_arith(self, sess):
         pdf = pd.DataFrame({"a": np.arange(3000.0), "b": np.arange(3000.0) * 2})

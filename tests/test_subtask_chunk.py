@@ -3,8 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.chunk import ChunkMeta, ChunkNode, build_chunk_dag, new_key
+from repro.core.chunk import ChunkMeta, ChunkNode, new_key
 from repro.core.config import EngineConfig
+from repro.core.graph import build_dag
 from repro.core.operators.base import Operator
 from repro.core.subtask import Subtask, build_subtask_graph
 from repro.engines.shims import DaskShimFrame, ModinShimFrame
@@ -40,7 +41,7 @@ class TestChunkBasics:
         a = node()
         b = node(inputs=[a])
         c = node(inputs=[a, b])
-        dag = build_chunk_dag([c])
+        dag = build_dag([c])
         assert len(dag) == 3
         assert dag.topological_order()[0] is a
 
@@ -68,21 +69,21 @@ class TestSubtask:
     def test_build_graph_chain_fused(self):
         a = node(op=Ew())
         b = node(op=Ew(), inputs=[a])
-        dag = build_chunk_dag([b])
+        dag = build_dag([b])
         sdag, subs = build_subtask_graph(dag, EngineConfig())
         assert len(subs) == 1
 
     def test_build_graph_fusion_disabled(self):
         a = node(op=Ew())
         b = node(op=Ew(), inputs=[a])
-        dag = build_chunk_dag([b])
+        dag = build_dag([b])
         _, subs = build_subtask_graph(dag, EngineConfig(graph_fusion=False))
         assert len(subs) == 2
 
     def test_shuffle_edges_cross_subtasks(self):
         maps = [node(op=Op(no_fuse_out=True)) for _ in range(3)]
         reds = [node(op=Op(no_fuse_in=True), inputs=list(maps)) for _ in range(2)]
-        dag = build_chunk_dag(reds)
+        dag = build_dag(reds)
         sdag, subs = build_subtask_graph(dag, EngineConfig())
         assert len(subs) == 5
         # every reducer subtask depends on every mapper subtask
@@ -96,7 +97,7 @@ class TestSubtask:
         l1 = node(op=Ew(), inputs=[src])
         r1 = node(op=Op(no_fuse_in=True), inputs=[src])
         join = node(op=Op(no_fuse_in=True), inputs=[l1, r1])
-        dag = build_chunk_dag([join])
+        dag = build_dag([join])
         sdag, _ = build_subtask_graph(dag, EngineConfig())
         sdag.topological_order()  # raises on a cycle
 

@@ -47,8 +47,43 @@ os.environ.setdefault(
     "pyspark-shell",
 )
 
+import contextlib  # noqa: E402
+import signal  # noqa: E402
+
 import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds): ...`` raises ``TimeoutError`` in the
+    block once ``seconds`` have passed (``SIGALRM``, main thread), so a
+    hang fails its test instead of stalling the whole run."""
+
+    class Expired(BaseException):
+        """Raised at whatever line was running: a ``BaseException``, so
+        no ``except Exception`` in the engine swallows it."""
+
+    @contextlib.contextmanager
+    def guard(seconds: int):
+        def expire(signum, frame):
+            code = frame.f_code
+            raise Expired(f"{code.co_filename}:{frame.f_lineno} in {code.co_name}")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        except Expired as where:
+            # re-raised here, without the interrupted stack: a frame cut
+            # mid-line can have no line number, which pytest cannot print
+            raise TimeoutError(
+                f"still running after {seconds} s, at {where}") from None
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+
+    return guard
 
 
 @pytest.fixture(scope="session")

@@ -74,7 +74,7 @@ def run_subtask(
     peak = live_total
 
     for chunk in spec.chunks:
-        out = chunk.op.execute_chunk([values[k] for k in chunk.input_keys], chunk)
+        out = chunk.op.execute_chunk([values[k] for k in chunk.input_keys])
         values[chunk.key] = out
         if isinstance(out, Buckets):
             sizes[chunk.key] = {r: payload_nbytes(b) for r, b in out.items()}

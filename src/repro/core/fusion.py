@@ -117,12 +117,12 @@ class FusedElementwise(Operator):
     def __init__(self, ops: list[Operator]) -> None:
         self.ops = ops
 
-    def execute_chunk(self, inputs: list[Any], chunk: ChunkNode) -> Any:
+    def execute_chunk(self, inputs: list[Any]) -> Any:
         """Run the chain in one pass: the head sees the external inputs,
         every later op sees only the running value."""
-        value = self.ops[0].execute_chunk(inputs, None)
+        value = self.ops[0].execute_chunk(inputs)
         for op in self.ops[1:]:
-            value = op.execute_chunk([value], None)
+            value = op.execute_chunk([value])
         return value
 
 

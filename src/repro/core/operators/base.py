@@ -15,14 +15,22 @@ Every Xorbits API is internally an operator implementing three methods:
 
 The default ``tile`` is the row-aligned 1:1 expansion that every
 projection, filter and elementwise op of both frontends shares: output
-chunk *i* reads chunk *i* of each input. :func:`shuffle` is the one
-builder of a two-stage shuffle (paper Sections III-C, V-C): a
-:class:`ShuffleMap` per input chunk splits it into per-reducer buckets,
-and each :class:`ShuffleReduce` gathers its bucket from every mapper.
-Groupby, merge and sort vary only the split and reduce kernels.
-:class:`Elementwise` (one kernel per chunk, for DataFrames and Tensors
-alike) and :class:`DataChunk` (the source holder of an in-memory slice)
-live here for the same reason.
+chunk *i* reads chunk *i* of each input.
+
+A chunk kernel is a function of its input payloads, and two chunk ops
+run one: :class:`Kernel` (fusable: a map step, a local sort, a
+broadcast merge) and :class:`Combine` (the combine and reduce steps,
+which gather many chunks, so graph-level fusion stops at their
+inputs). A kernel bound to parameters is a
+``functools.partial`` of a module-level function, so a shipped subtask
+pickles to function references plus a few keys. :class:`Elementwise`
+is the :class:`Kernel` that operator-level fusion chains (Section V-A),
+for DataFrames and Tensors alike. :func:`shuffle` is the one builder of
+a two-stage shuffle (paper Sections III-C, V-C): a :class:`ShuffleMap`
+per input chunk splits it into per-reducer buckets, and each
+:class:`ShuffleReduce` gathers its bucket from every mapper. Groupby,
+merge and sort vary only the split and reduce kernels.
+:class:`DataChunk` holds an in-memory source slice.
 """
 from __future__ import annotations
 
@@ -70,14 +78,15 @@ class Operator:
     Subclasses set ``output_count`` and implement :meth:`execute_chunk`;
     any op that is not 1:1 row-aligned also overrides :meth:`tile`.
     The chunk-level ops a ``tile`` builds (a groupby's map and combine
-    nodes, a shuffle's mappers and reducers) are separate lightweight
-    instances; only :meth:`execute_chunk` is called on them.
+    nodes, a shuffle's mappers and reducers) are :class:`Kernel`,
+    :class:`Combine` and shuffle instances; only :meth:`execute_chunk`
+    is called on them.
     """
 
     output_count = 1
-    #: set on chunk-level ops across whose *incoming* edges graph-level
-    #: fusion must not fuse (shuffle reducers and combine nodes gather
-    #: from many chunks).
+    #: set only on :class:`Combine` and :class:`ShuffleReduce`: graph-level
+    #: fusion never crosses their *incoming* edges (they gather from
+    #: many chunks).
     no_fuse_in = False
     #: set only on :class:`ShuffleMap`: fusion never crosses its
     #: outgoing edges (a mapper scatters to many reducers).
@@ -149,8 +158,8 @@ class Operator:
                                     meta=ChunkMeta(shape=shape)))
         return [chunks]
 
-    def execute_chunk(self, inputs: list[Any], chunk: ChunkNode) -> Any:
-        """Compute the payload of ``chunk`` from its input payloads."""
+    def execute_chunk(self, inputs: list[Any]) -> Any:
+        """Compute a chunk's payload from its input payloads."""
         raise NotImplementedError(type(self).__name__)
 
     # -- optimizer hooks ------------------------------------------------
@@ -164,8 +173,27 @@ class Operator:
         return None
 
 
-class Elementwise(Operator):
-    """A 1:1 operator applying ``func(*input_payloads)`` per chunk, for
+class Kernel(Operator):
+    """A chunk op that runs one kernel: its payload is ``fn(*inputs)``.
+    Graph-level fusion may merge it with its neighbours."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+
+    def execute_chunk(self, inputs):
+        return self.fn(*inputs)
+
+
+class Combine(Kernel):
+    """A :class:`Kernel` that gathers many chunks — a combine tree's
+    nodes, a scalar reduction, a global gather — so graph-level fusion
+    never crosses its incoming edges."""
+
+    no_fuse_in = True
+
+
+class Elementwise(Kernel):
+    """A 1:1 operator applying ``fn(*input_payloads)`` per chunk, for
     DataFrames, Series and Tensors alike.
 
     Covers arithmetic, comparisons, boolean logic, ``fillna``,
@@ -176,14 +204,11 @@ class Elementwise(Operator):
 
     elementwise = True
 
-    def __init__(self, func: Callable, name: str = "elementwise",
+    def __init__(self, fn: Callable, name: str = "elementwise",
                  preserves_shape: bool = True) -> None:
-        self.func = func
+        super().__init__(fn)
         self.name = name
         self.preserves_shape = preserves_shape
-
-    def execute_chunk(self, inputs, chunk):
-        return self.func(*inputs)
 
 
 class DataChunk(Operator):
@@ -193,7 +218,7 @@ class DataChunk(Operator):
     def __init__(self, data: Any) -> None:
         self.data = data
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return self.data
 
 
@@ -207,7 +232,7 @@ class ShuffleMap(Operator):
     def __init__(self, split: Callable) -> None:
         self.split = split
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return self.split(inputs[0])
 
 
@@ -223,7 +248,7 @@ class ShuffleReduce(Operator):
         self.reducer = reducer
         self.reduce = reduce
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return self.reduce(inputs)
 
 

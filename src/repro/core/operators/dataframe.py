@@ -6,11 +6,13 @@ the dynamic-tiling paths for ``merge`` (broadcast / shuffle / skew),
 4-8-5 filtered-chunk example), and the 1:1 projection, filter and rename
 operators that graph- and operator-level fusion later merge into
 subtasks (their ``tile`` is the shared row-aligned default of
-:class:`~.base.Operator`). Every shuffle is built by
-:func:`~.base.shuffle`; groupby, merge and sort supply only its split
-and reduce kernels, module-level functions bound to their parameters
-with ``functools.partial``, so a shipped reducer pickles to a function
-reference plus a few keys.
+:class:`~.base.Operator`). Every chunk kernel is a module-level function
+of its input payloads, bound to its parameters with
+``functools.partial`` and run by a :class:`~.base.Kernel` or, when it
+gathers many chunks, a :class:`~.base.Combine`. Every shuffle is built
+by :func:`~.base.shuffle` and every tree reduction by
+:func:`~..automerge.tree_reduce`; groupby, merge, sort and dedup supply
+only their kernels.
 
 Every operator works in two modes:
 
@@ -31,11 +33,12 @@ from typing import Any, Callable, Optional
 import numpy as np
 import pandas as pd
 
-from ..automerge import combine_tree
+from ..automerge import map_chunks, tree_reduce
 from ..chunk import (Buckets, ChunkMeta, ChunkNode, estimate_nbytes,
                      payload_nbytes)
 from ..reduce_select import choose_reduce
-from .base import DataChunk, Operator, TileContext, shuffle
+from .base import (Combine, DataChunk, Elementwise, Kernel, Operator,
+                   TileContext, shuffle)
 
 # --------------------------------------------------------------------------
 # helpers
@@ -103,6 +106,12 @@ def hash_partition(
     return _split_by_codes(pdf, (h % n).to_numpy(), total)
 
 
+def _concat(*parts):
+    """Row concat of a chunk's inputs — the paper's ``Concat`` node in
+    the combine stage and in auto merge."""
+    return parts[0] if len(parts) == 1 else pd.concat(parts)
+
+
 def _concat_parts(parts: list) -> pd.DataFrame:
     """Concat shuffle parts, skipping empties (they only carry schema)."""
     nonempty = [p for p in parts if len(p)]
@@ -154,9 +163,8 @@ def normalize_aggs(aggs: Any, kwargs: dict) -> tuple[list[tuple[str, Optional[st
 class FromPandas(Operator):
     """Tileable source over an in-memory pandas DataFrame/Series."""
 
-    def __init__(self, pdf: Any, chunk_bytes: Optional[int] = None) -> None:
+    def __init__(self, pdf: Any) -> None:
         self.pdf = pdf
-        self.chunk_bytes = chunk_bytes
         self.pruned_columns: Optional[list] = None  # set by column pruning
 
     def tile(self, ctx: TileContext):
@@ -166,7 +174,7 @@ class FromPandas(Operator):
             # keep only columns the source actually has
             keep = [c for c in pdf.columns if c in set(self.pruned_columns)]
             pdf = pdf[keep]
-        limit = self.chunk_bytes or ctx.cfg.chunk_limit
+        limit = ctx.cfg.chunk_limit
         if isinstance(pdf, pd.Series):
             pieces = [
                 p["__s__"].rename(pdf.name)
@@ -198,7 +206,7 @@ class GetItem(Operator):
     def __init__(self, item: Any) -> None:
         self.item = item
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return inputs[0][self.item]
 
     def required_input_columns(self, required_out):
@@ -231,7 +239,7 @@ class SetColumns(Operator):
         self.names = names
         self.values = values
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         df = inputs[0].copy(deep=False)
         for name, v in zip(self.names, self.values):
             if isinstance(v, InputRef):
@@ -257,7 +265,7 @@ class Filter(Operator):
 
     elementwise = True
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         df, mask = inputs
         return df[np.asarray(mask, dtype=bool)]
 
@@ -272,7 +280,7 @@ class Rename(Operator):
     def __init__(self, columns: dict) -> None:
         self.columns = columns
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         obj = inputs[0]
         if isinstance(obj, pd.Series):
             return obj.rename(self.columns) if not isinstance(self.columns, dict) else obj
@@ -290,16 +298,6 @@ class Rename(Operator):
 # --------------------------------------------------------------------------
 
 
-class ConcatChunks(Operator):
-    """Chunk-level row concat of its inputs — the paper's ``Concat``
-    node in the combine stage and in auto merge."""
-
-    def execute_chunk(self, inputs, chunk):
-        if len(inputs) == 1:
-            return inputs[0]
-        return pd.concat(inputs)
-
-
 class Concat(Operator):
     """Tileable-level row concat of several frames."""
 
@@ -308,27 +306,20 @@ class Concat(Operator):
         r = 0
         for i in range(len(ctx.inputs)):
             for c in ctx.input_chunks(i):
-                chunks.append(ChunkNode(op=_Identity(), inputs=[c], index=(r, 0),
+                chunks.append(ChunkNode(op=Elementwise(_identity, "identity"),
+                                        inputs=[c], index=(r, 0),
                                         meta=ChunkMeta(shape=c.meta.shape)))
                 r += 1
         return [chunks]
 
 
-class _Identity(Operator):
-    elementwise = True
-
-    def execute_chunk(self, inputs, chunk):
-        return inputs[0]
+def _identity(x):
+    return x
 
 
-class ILocChunk(Operator):
+def _iloc(df, item):
     """Chunk-level positional slice/pick."""
-
-    def __init__(self, item: Any) -> None:
-        self.item = item
-
-    def execute_chunk(self, inputs, chunk):
-        return inputs[0].iloc[self.item]
+    return df.iloc[item]
 
 
 class ILoc(Operator):
@@ -337,7 +328,7 @@ class ILoc(Operator):
     With dynamic tiling, the chunk lengths of the (possibly filtered)
     input are unknown: we ``yield`` the input chunks, read the real
     lengths execution recorded on them, and then attach an
-    ``ILocChunk`` to exactly the chunk(s) containing the requested rows
+    ``_iloc`` kernel to exactly the chunk(s) containing the requested rows
     (Fig. 3c: lengths 4, 8, 5 → row 10 lives in chunk 2). Without dynamic tiling
     everything is concatenated onto one node first — the baseline
     behaviour that either OOMs or is simply unsupported (Dask).
@@ -362,10 +353,10 @@ class ILoc(Operator):
                 yield in_chunks  # iterative tiling: execute, then resume
             else:
                 # static fallback: single-node concat + iloc
-                gather = ChunkNode(op=ConcatChunks(), inputs=list(in_chunks),
+                gather = ChunkNode(op=Kernel(_concat), inputs=list(in_chunks),
                                    index=(0, 0), meta=ChunkMeta())
-                out = ChunkNode(op=ILocChunk(self.item), inputs=[gather],
-                                index=(0, 0), meta=ChunkMeta())
+                out = ChunkNode(op=Kernel(partial(_iloc, item=self.item)),
+                                inputs=[gather], index=(0, 0), meta=ChunkMeta())
                 return [[out]]
         lengths = [c.meta.shape[0] for c in in_chunks]
         offsets = np.cumsum([0] + lengths)
@@ -376,8 +367,8 @@ class ILoc(Operator):
                 raise IndexError(f"iloc index {self.item} out of bounds ({total} rows)")
             ci = int(np.searchsorted(offsets, pos, side="right") - 1)
             local = pos - int(offsets[ci])
-            out = ChunkNode(op=ILocChunk(local), inputs=[in_chunks[ci]],
-                            index=(0, 0), meta=ChunkMeta())
+            out = ChunkNode(op=Kernel(partial(_iloc, item=local)),
+                            inputs=[in_chunks[ci]], index=(0, 0), meta=ChunkMeta())
             return [[out]]
         # slice
         start, stop, step = self.item.indices(total)
@@ -389,12 +380,13 @@ class ILoc(Operator):
             if s >= e:
                 continue
             local = slice(s - int(lo), e - int(lo), step)
-            chunks.append(ChunkNode(op=ILocChunk(local), inputs=[in_chunks[ci]],
-                                    index=(r, 0), meta=ChunkMeta()))
+            chunks.append(ChunkNode(op=Kernel(partial(_iloc, item=local)),
+                                    inputs=[in_chunks[ci]], index=(r, 0),
+                                    meta=ChunkMeta()))
             r += 1
         if not chunks:
-            empty = ChunkNode(op=ILocChunk(slice(0, 0)), inputs=[in_chunks[0]],
-                              index=(0, 0), meta=ChunkMeta())
+            empty = ChunkNode(op=Kernel(partial(_iloc, item=slice(0, 0))),
+                              inputs=[in_chunks[0]], index=(0, 0), meta=ChunkMeta())
             chunks = [empty]
         return [chunks]
 
@@ -411,40 +403,33 @@ class Head(ILoc):
 # --------------------------------------------------------------------------
 
 
-class _AggMap(Operator):
-    """Map stage: per-chunk partial aggregation (algebraic funcs are
-    decomposed, e.g. mean → sum + count)."""
-
-    def __init__(self, keys: list[str], specs: list[tuple], series_name=None) -> None:
-        self.keys = keys
-        self.specs = specs  # normalized (out, col, func)
-        self.series_name = series_name
-
-    def execute_chunk(self, inputs, chunk):
-        df = inputs[0]
-        if isinstance(df, pd.Series):
-            df = df.to_frame(self.series_name or df.name or "__val__")
-        g = df.groupby(self.keys, sort=False, observed=True)
-        parts = {}
-        for i, (_out, col, func) in enumerate(self.specs):
-            src = g[col] if col is not None else g[df.columns.difference(self.keys)[0]]
-            if func == "mean":
-                parts[f"{i}__sum"] = src.sum()
-                parts[f"{i}__count"] = src.count()
-            elif func == "size":
-                parts[f"{i}__size"] = g.size()
-            elif func in ("sum", "count", "min", "max"):
-                parts[f"{i}__{func}"] = getattr(src, func)()
-            else:
-                raise ValueError(f"non-algebraic func in tree path: {func}")
-        return pd.DataFrame(parts)
+def _agg_map(df, keys: list[str], specs: list[tuple], series_name=None):
+    """Map stage: per-chunk partial aggregation over the normalized
+    ``(out, col, func)`` specs (algebraic funcs are decomposed, e.g.
+    mean → sum + count)."""
+    if isinstance(df, pd.Series):
+        df = df.to_frame(series_name or df.name or "__val__")
+    g = df.groupby(keys, sort=False, observed=True)
+    parts = {}
+    for i, (_out, col, func) in enumerate(specs):
+        src = g[col] if col is not None else g[df.columns.difference(keys)[0]]
+        if func == "mean":
+            parts[f"{i}__sum"] = src.sum()
+            parts[f"{i}__count"] = src.count()
+        elif func == "size":
+            parts[f"{i}__size"] = g.size()
+        elif func in ("sum", "count", "min", "max"):
+            parts[f"{i}__{func}"] = getattr(src, func)()
+        else:
+            raise ValueError(f"non-algebraic func in tree path: {func}")
+    return pd.DataFrame(parts)
 
 
 _PART_COMBINER = {"sum": "sum", "count": "sum", "size": "sum", "min": "min", "max": "max"}
 
 
 def _combine_partials(parts: list, sort: bool) -> pd.DataFrame:
-    """Merge ``_AggMap`` partial frames group by group."""
+    """Merge ``_agg_map`` partial frames group by group."""
     df = pd.concat(parts)
     how = {c: _PART_COMBINER[c.rsplit("__", 1)[1]] for c in df.columns}
     return df.groupby(level=list(range(df.index.nlevels)), sort=sort).agg(how)
@@ -460,37 +445,24 @@ def _user_layout(res: pd.DataFrame, keys: list, layout: str) -> pd.DataFrame:
     return res
 
 
-class _AggCombine(Operator):
+def _agg_combine(*parts):
     """Combine stage: merge a subset of partial results (pre-aggregation
     that keeps any one node's gather small — paper Section III-C)."""
-
-    no_fuse_in = True
-
-    def execute_chunk(self, inputs, chunk):
-        return _combine_partials(inputs, sort=False)
+    return _combine_partials(parts, sort=False)
 
 
-class _AggFinalize(Operator):
+def _agg_finalize(*parts, keys, specs, layout: str):
     """Reduce stage of the tree path: combine + finalize to user columns."""
-
-    no_fuse_in = True
-
-    def __init__(self, keys, specs, layout: str) -> None:
-        self.keys = keys
-        self.specs = specs
-        self.layout = layout
-
-    def execute_chunk(self, inputs, chunk):
-        df = _combine_partials(inputs, sort=True)
-        out = {}
-        for i, (out_name, _col, func) in enumerate(self.specs):
-            if func == "mean":
-                out[out_name] = df[f"{i}__sum"] / df[f"{i}__count"]
-            elif func == "size":
-                out[out_name] = df[f"{i}__size"]
-            else:
-                out[out_name] = df[f"{i}__{func}"]
-        return _user_layout(pd.DataFrame(out), self.keys, self.layout)
+    df = _combine_partials(parts, sort=True)
+    out = {}
+    for i, (out_name, _col, func) in enumerate(specs):
+        if func == "mean":
+            out[out_name] = df[f"{i}__sum"] / df[f"{i}__count"]
+        elif func == "size":
+            out[out_name] = df[f"{i}__size"]
+        else:
+            out[out_name] = df[f"{i}__{func}"]
+    return _user_layout(pd.DataFrame(out), keys, layout)
 
 
 def _agg_split(df, keys, specs, n, algebraic, series_name):
@@ -499,7 +471,7 @@ def _agg_split(df, keys, specs, n, algebraic, series_name):
     if isinstance(df, pd.Series):
         df = df.to_frame(series_name or df.name or "__val__")
     if algebraic:
-        df = _AggMap(keys, specs, series_name).execute_chunk([df], None).reset_index()
+        df = _agg_map(df, keys, specs, series_name).reset_index()
     return hash_partition(df, keys, n)
 
 
@@ -509,8 +481,8 @@ def _agg_reduce(blocks, keys, specs, layout, algebraic):
     ``nunique`` / ``median``)."""
     df = _concat_parts(blocks)
     if algebraic:
-        fin = _AggFinalize(keys, specs, layout)
-        return fin.execute_chunk([df.set_index(keys)], None)
+        return _agg_finalize(df.set_index(keys), keys=keys, specs=specs,
+                             layout=layout)
     g = df.groupby(keys, sort=True, observed=True)
     out = {}
     for out_name, col, func in specs:
@@ -534,6 +506,8 @@ class GroupByAgg(Operator):
         cfg = ctx.cfg
         in_chunks = ctx.input_chunks(0)
         specs = self._resolved_specs(ctx)
+        agg_map = partial(_agg_map, keys=self.keys, specs=specs,
+                          series_name=self.series_name)
 
         probe_meta = None
         if cfg.dynamic_tiling and self.algebraic:
@@ -543,11 +517,7 @@ class GroupByAgg(Operator):
             # probed *inputs* are requested too — they are fused
             # intermediates otherwise, and the ratio needs their size.
             k = min(PROBE_CHUNKS, len(in_chunks))
-            probes = [
-                ChunkNode(op=_AggMap(self.keys, specs, self.series_name),
-                          inputs=[c], index=(i, 0), meta=ChunkMeta())
-                for i, c in enumerate(in_chunks[:k])
-            ]
+            probes = map_chunks(in_chunks[:k], agg_map)
             yield probes + list(in_chunks[:k])
             probe_meta = (probes, in_chunks[:k])
 
@@ -557,19 +527,11 @@ class GroupByAgg(Operator):
         ctx.stats.reduce_choices[f"{ctx.key}:GroupByAgg:{','.join(self.keys)}"] = mode
 
         if mode == "tree":
-            maps = []
-            if probe_meta is not None:
-                maps.extend(probe_meta[0])
-                rest = in_chunks[len(probe_meta[0]):]
-            else:
-                rest = in_chunks
-            maps.extend(
-                ChunkNode(op=_AggMap(self.keys, specs, self.series_name),
-                          inputs=[c], index=(len(maps) + i, 0), meta=ChunkMeta())
-                for i, c in enumerate(rest)
-            )
-            final = partial(_AggFinalize, self.keys, specs, self.layout)
-            return [[combine_tree(ctx, maps, _AggCombine, final)]]
+            final = partial(_agg_finalize, keys=self.keys, specs=specs,
+                            layout=self.layout)
+            mapped = probe_meta[0] if probe_meta is not None else ()
+            return [[tree_reduce(ctx, in_chunks, agg_map, _agg_combine, final,
+                                 mapped=mapped)]]
 
         split = partial(_agg_split, keys=self.keys, specs=specs, n=n_reducers,
                         algebraic=self.algebraic, series_name=self.series_name)
@@ -644,21 +606,15 @@ class _MergeKw:
                 "how": self.how, "suffixes": self.suffixes}
 
 
-class _MergeBroadcast(Operator):
+def _merge_broadcast(big, *small_parts, kw: _MergeKw, small_side: str):
     """One big-side chunk merged against the whole (concatenated) small
-    side — chosen when dynamic tiling observes a tiny build side (the
-    TPCx-AI UC10 imbalance case)."""
-
-    def __init__(self, kw: _MergeKw, small_side: str) -> None:
-        self.kw = kw
-        self.small_side = small_side  # "left" | "right"
-
-    def execute_chunk(self, inputs, chunk):
-        big, small_parts = inputs[0], inputs[1:]
-        small = pd.concat(small_parts) if len(small_parts) > 1 else small_parts[0]
-        if self.small_side == "right":
-            return big.merge(small, **self.kw.pandas_kwargs())
-        return small.merge(big, **self.kw.pandas_kwargs())
+    side (``small_side`` is "left" or "right") — chosen when dynamic
+    tiling observes a tiny build side (the TPCx-AI UC10 imbalance
+    case)."""
+    small = _concat(*small_parts)
+    if small_side == "right":
+        return big.merge(small, **kw.pandas_kwargs())
+    return small.merge(big, **kw.pandas_kwargs())
 
 
 def _merge_split(df, keys: list[str], n: int,
@@ -737,9 +693,11 @@ class Merge(Operator):
             if small_side is not None:
                 big, small = (left, right) if small_side == "right" else (right, left)
                 ctx.stats.merge_choices[op_key] = "broadcast"
+                merge = Kernel(partial(_merge_broadcast, kw=self.kw,
+                                       small_side=small_side))
                 chunks = [
-                    ChunkNode(op=_MergeBroadcast(self.kw, small_side),
-                              inputs=[b] + list(small), index=(i, 0), meta=ChunkMeta())
+                    ChunkNode(op=merge, inputs=[b] + list(small), index=(i, 0),
+                              meta=ChunkMeta())
                     for i, b in enumerate(big)
                 ]
                 return [chunks]
@@ -839,14 +797,9 @@ def _sort(df, by, ascending):
     return df.sort_values(by, ascending=ascending, kind="mergesort")
 
 
-class _SortChunk(Operator):
-    def __init__(self, by, ascending) -> None:
-        self.by = by
-        self.ascending = ascending
-
-    def execute_chunk(self, inputs, chunk):
-        df = pd.concat(inputs) if len(inputs) > 1 else inputs[0]
-        return _sort(df, self.by, self.ascending)
+def _sort_all(*parts, by, ascending):
+    """Single-node sort of the concat of a chunk's inputs."""
+    return _sort(_concat(*parts), by, ascending)
 
 
 def _range_split(df, by, bounds, ascending):
@@ -885,7 +838,8 @@ class SortValues(Operator):
                 yield probes
             est = estimate_nbytes(in_chunks)
         if est is None or est <= cfg.chunk_limit or len(in_chunks) == 1:
-            out = ChunkNode(op=_SortChunk(self.by, self.ascending),
+            out = ChunkNode(op=Kernel(partial(_sort_all, by=self.by,
+                                              ascending=self.ascending)),
                             inputs=list(in_chunks), index=(0, 0), meta=ChunkMeta())
             return [[out]]
         n_red = max(1, math.ceil(est / cfg.chunk_limit))
@@ -910,22 +864,13 @@ class SortValues(Operator):
         return np.unique(s.quantile(qs, interpolation="nearest").to_numpy())
 
 
-class _GatherApply(Operator):
+def _gather_apply(*parts, fn: Callable):
     """Gather all input chunks onto one node and apply ``fn`` — the
     implementation of operators whose semantics are inherently global
     (``pivot`` reshapes, final ``value_counts`` ordering). Memory-risky
     by design: this is the operation Dask/Modin refuse; Xorbits supports
     it and the meter charges it honestly."""
-
-    no_fuse_in = True
-
-    def __init__(self, fn: Callable, name: str = "gather") -> None:
-        self.fn = fn
-        self.name = name
-
-    def execute_chunk(self, inputs, chunk):
-        df = pd.concat(inputs) if len(inputs) > 1 else inputs[0]
-        return self.fn(df)
+    return fn(_concat(*parts))
 
 
 class MapGather(Operator):
@@ -937,30 +882,19 @@ class MapGather(Operator):
 
     def tile(self, ctx: TileContext):
         out = ChunkNode(
-            op=_GatherApply(self.fn, self.name),
+            op=Combine(partial(_gather_apply, fn=self.fn)),
             inputs=list(ctx.input_chunks(0)), index=(0, 0), meta=ChunkMeta(),
         )
         return [[out]]
 
 
-class _DedupMap(Operator):
-    def __init__(self, subset) -> None:
-        self.subset = subset
-
-    def execute_chunk(self, inputs, chunk):
-        df = inputs[0]
-        if isinstance(df, pd.Series):
-            return df.drop_duplicates()
-        return df.drop_duplicates(subset=self.subset)
-
-
-class _DedupReduce(_DedupMap):
-    """Dedup the concat of its inputs: ``_DedupMap``'s kernel."""
-
-    no_fuse_in = True
-
-    def execute_chunk(self, inputs, chunk):
-        return super().execute_chunk([pd.concat(inputs)], chunk)
+def _dedup(*parts, subset):
+    """Drop duplicate rows of the concat of a chunk's inputs: the map
+    and the combine kernel of ``drop_duplicates``."""
+    df = _concat(*parts)
+    if isinstance(df, pd.Series):
+        return df.drop_duplicates()
+    return df.drop_duplicates(subset=subset)
 
 
 class DropDuplicates(Operator):
@@ -971,13 +905,8 @@ class DropDuplicates(Operator):
         self.subset = subset
 
     def tile(self, ctx: TileContext):
-        maps = [
-            ChunkNode(op=_DedupMap(self.subset), inputs=[c], index=(i, 0),
-                      meta=ChunkMeta())
-            for i, c in enumerate(ctx.input_chunks(0))
-        ]
-        reduce = partial(_DedupReduce, self.subset)
-        return [[combine_tree(ctx, maps, reduce, reduce)]]
+        dedup = partial(_dedup, subset=self.subset)
+        return [[tree_reduce(ctx, ctx.input_chunks(0), dedup, dedup, dedup)]]
 
     def required_input_columns(self, required_out):
         if required_out is None or self.subset is None:
@@ -985,49 +914,38 @@ class DropDuplicates(Operator):
         return [set(required_out) | set(self.subset)]
 
 
-class _ScalarMap(Operator):
-    def __init__(self, func: str) -> None:
-        self.func = func
-
-    def execute_chunk(self, inputs, chunk):
-        s = inputs[0]
-        f = self.func
-        if f == "mean":
-            return (float(s.sum()), int(s.count()))
-        if f == "nunique":
-            return set(pd.unique(s.dropna()))
-        if f == "count":
-            return int(s.count())
-        if f == "size":
-            return int(len(s))
-        return getattr(s, f)()
+def _scalar_map(s, func: str):
+    """Per-chunk partial of a whole-series reduction."""
+    if func == "mean":
+        return (float(s.sum()), int(s.count()))
+    if func == "nunique":
+        return set(pd.unique(s.dropna()))
+    if func == "count":
+        return int(s.count())
+    if func == "size":
+        return int(len(s))
+    return getattr(s, func)()
 
 
-class _ScalarReduce(Operator):
-    no_fuse_in = True
-
-    def __init__(self, func: str) -> None:
-        self.func = func
-
-    def execute_chunk(self, inputs, chunk):
-        f = self.func
-        if f == "mean":
-            tot = sum(p[0] for p in inputs)
-            cnt = sum(p[1] for p in inputs)
-            return tot / cnt if cnt else float("nan")
-        if f == "nunique":
-            out = set()
-            for p in inputs:
-                out |= p
-            return len(out)
-        if f in ("sum", "count", "size"):
-            return sum(inputs)
-        if f in ("min", "max"):
-            # skipna: an empty chunk's partial is NaN/NaT, and comparisons
-            # with it depend on order
-            found = [p for p in inputs if not pd.isna(p)]
-            return (min if f == "min" else max)(found) if found else inputs[0]
-        raise ValueError(f)
+def _scalar_reduce(*parts, func: str):
+    """Fold the ``_scalar_map`` partials of every chunk to the scalar."""
+    if func == "mean":
+        tot = sum(p[0] for p in parts)
+        cnt = sum(p[1] for p in parts)
+        return tot / cnt if cnt else float("nan")
+    if func == "nunique":
+        out = set()
+        for p in parts:
+            out |= p
+        return len(out)
+    if func in ("sum", "count", "size"):
+        return sum(parts)
+    if func in ("min", "max"):
+        # skipna: an empty chunk's partial is NaN/NaT, and comparisons
+        # with it depend on order
+        found = [p for p in parts if not pd.isna(p)]
+        return (min if func == "min" else max)(found) if found else parts[0]
+    raise ValueError(func)
 
 
 class ScalarAgg(Operator):
@@ -1037,11 +955,8 @@ class ScalarAgg(Operator):
         self.func = func
 
     def tile(self, ctx: TileContext):
-        maps = [
-            ChunkNode(op=_ScalarMap(self.func), inputs=[c], index=(i, 0),
-                      meta=ChunkMeta())
-            for i, c in enumerate(ctx.input_chunks(0))
-        ]
-        out = ChunkNode(op=_ScalarReduce(self.func), inputs=maps, index=(0, 0),
-                        meta=ChunkMeta())
+        """Map every chunk, then one flat gather (no combine tree)."""
+        maps = map_chunks(ctx.input_chunks(0), partial(_scalar_map, func=self.func))
+        out = ChunkNode(op=Combine(partial(_scalar_reduce, func=self.func)),
+                        inputs=maps, index=(0, 0), meta=ChunkMeta())
         return [[out]]

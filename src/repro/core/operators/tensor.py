@@ -2,37 +2,33 @@
 
 Implements the array side of the paper: sources chunked by the auto
 rechunk algorithm (Section V-D), row-chunked matmul, generic
-map/tree-reduce, and
-the MapReduce tall-and-skinny QR (TSQR, Benson et al. [36]) that both
-Xorbits and Dask use — with Xorbits picking the chunk shapes
-automatically where Dask requires a manual ``rechunk``. Elementwise
-kernels are the frontends' shared :class:`~.base.Elementwise` (fused by
-the Section V-A passes), and a source block is held by
+map/tree-reduce (:func:`~..automerge.tree_reduce`), and the MapReduce
+tall-and-skinny QR (TSQR, Benson et al. [36]) that both Xorbits and Dask
+use — with Xorbits picking the chunk shapes automatically where Dask
+requires a manual ``rechunk``. Every chunk kernel is a module-level
+function run by a :class:`~.base.Kernel`, a :class:`~.base.Combine`
+(TSQR's R stack) or the frontends' shared :class:`~.base.Elementwise`
+(fused by the Section V-A passes); a source block is held by
 :class:`~.base.DataChunk`.
 """
 from __future__ import annotations
 
-from functools import partial
+import operator
+from functools import partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..automerge import combine_tree
+from ..automerge import tree_reduce
 from ..chunk import ChunkMeta, ChunkNode
 from ..rechunk import auto_rechunk, chunk_slices
-from .base import DataChunk, Operator, TileContext
+from .base import Combine, DataChunk, Elementwise, Kernel, Operator, TileContext
 
 
-class _RandomChunk(Operator):
-    """Generate one chunk of uniform random values, seeded per chunk so
-    workers generate independently and deterministically."""
-
-    def __init__(self, shape: tuple, seed: int) -> None:
-        self.shape = shape
-        self.seed = seed
-
-    def execute_chunk(self, inputs, chunk):
-        return np.random.default_rng(self.seed).random(self.shape)
+def _random_block(shape: tuple, seed: int):
+    """One chunk of uniform random values, seeded per chunk so workers
+    generate independently and deterministically."""
+    return np.random.default_rng(seed).random(shape)
 
 
 def _tile_rows(shape, itemsize, cfg):
@@ -83,8 +79,9 @@ class TensorRandom(Operator):
         for i, (lo, hi) in enumerate(slices):
             cshape = (hi - lo,) + tuple(self.shape[1:])
             chunks.append(
-                ChunkNode(op=_RandomChunk(cshape, self.seed + i), inputs=[],
-                          index=(i, 0),
+                ChunkNode(op=Kernel(partial(_random_block, shape=cshape,
+                                            seed=self.seed + i)),
+                          inputs=[], index=(i, 0),
                           meta=ChunkMeta(shape=cshape,
                                          nbytes=int(np.prod(cshape)) * 8))
             )
@@ -105,30 +102,14 @@ class MatMul(Operator):
         )
         return super().tile(ctx)
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         a, b = inputs
         return a @ b
 
 
-class _MapChunk(Operator):
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def execute_chunk(self, inputs, chunk):
-        return self.fn(inputs[0])
-
-
-class _ReduceChunk(Operator):
-    no_fuse_in = True
-
-    def __init__(self, fn: Callable) -> None:
-        self.fn = fn
-
-    def execute_chunk(self, inputs, chunk):
-        acc = inputs[0]
-        for x in inputs[1:]:
-            acc = self.fn(acc, x)
-        return acc
+def _fold(*parts, fn: Callable):
+    """Left-fold a chunk's inputs with the binary ``fn``."""
+    return reduce(fn, parts)
 
 
 class TensorMapReduce(Operator):
@@ -144,14 +125,9 @@ class TensorMapReduce(Operator):
         self.reduce_fn = reduce_fn
 
     def tile(self, ctx: TileContext):
-        maps = [
-            ChunkNode(op=_MapChunk(self.map_fn), inputs=[c], index=(i, 0),
-                      meta=ChunkMeta())
-            for i, c in enumerate(ctx.input_chunks(0))
-        ]
         # a single chunk still gets a reduce node, for type parity
-        reduce = partial(_ReduceChunk, self.reduce_fn)
-        return [[combine_tree(ctx, maps, reduce, reduce)]]
+        fold = partial(_fold, fn=self.reduce_fn)
+        return [[tree_reduce(ctx, ctx.input_chunks(0), self.map_fn, fold, fold)]]
 
 
 # --------------------------------------------------------------------------
@@ -159,45 +135,30 @@ class TensorMapReduce(Operator):
 # --------------------------------------------------------------------------
 
 
-class _QRMap(Operator):
+def _qr_map(a):
     """Local QR of one row chunk → (Q_i, R_i) tuple payload."""
-
-    def execute_chunk(self, inputs, chunk):
-        q, r = np.linalg.qr(inputs[0])
-        return (q, r)
+    q, r = np.linalg.qr(a)
+    return (q, r)
 
 
-class _QRStack(Operator):
+def _qr_stack(*qrs):
     """Stack all R_i, QR the stack → (Q2, R). Q2 rows align with the
     stacked R_i blocks; the back-multiply picks its block by offset."""
-
-    no_fuse_in = True
-
-    def execute_chunk(self, inputs, chunk):
-        rs = [t[1] for t in inputs]
-        stacked = np.vstack(rs)
-        q2, r = np.linalg.qr(stacked)
-        return (q2, r, [r_.shape[0] for r_ in rs])
+    rs = [t[1] for t in qrs]
+    q2, r = np.linalg.qr(np.vstack(rs))
+    return (q2, r, [r_.shape[0] for r_ in rs])
 
 
-class _QRFinalR(Operator):
-    elementwise = True
-
-    def execute_chunk(self, inputs, chunk):
-        return inputs[0][1]
-
-
-class _QRBackMul(Operator):
+def _qr_back_mul(qr_i, stack, block: int):
     """Q_i_final = Q_i @ Q2[block_i] (the reduce of TSQR)."""
+    (qi, _ri), (q2, _r, sizes) = qr_i, stack
+    lo = sum(sizes[:block])
+    hi = lo + sizes[block]
+    return qi @ q2[lo:hi]
 
-    def __init__(self, block: int) -> None:
-        self.block = block
 
-    def execute_chunk(self, inputs, chunk):
-        (qi, _ri), (q2, _r, sizes) = inputs
-        lo = sum(sizes[: self.block])
-        hi = lo + sizes[self.block]
-        return qi @ q2[lo:hi]
+def _vstack(*blocks):
+    return np.concatenate(blocks, axis=0)
 
 
 class TensorQR(Operator):
@@ -229,7 +190,7 @@ class TensorQR(Operator):
             if rows >= ncols:
                 merged.append(
                     group[0] if len(group) == 1 else
-                    ChunkNode(op=_TensorConcat(), inputs=group, index=(len(merged), 0),
+                    ChunkNode(op=Kernel(_vstack), inputs=group, index=(len(merged), 0),
                               meta=ChunkMeta())
                 )
                 group, rows = [], 0
@@ -238,32 +199,27 @@ class TensorQR(Operator):
             if merged:
                 prev = merged.pop()
                 merged.append(
-                    ChunkNode(op=_TensorConcat(), inputs=[prev] + group,
+                    ChunkNode(op=Kernel(_vstack), inputs=[prev] + group,
                               index=(len(merged), 0), meta=ChunkMeta())
                 )
             else:
                 merged.append(
                     group[0] if len(group) == 1 else
-                    ChunkNode(op=_TensorConcat(), inputs=group, index=(0, 0),
+                    ChunkNode(op=Kernel(_vstack), inputs=group, index=(0, 0),
                               meta=ChunkMeta())
                 )
 
         qr_maps = [
-            ChunkNode(op=_QRMap(), inputs=[c], index=(i, 0), meta=ChunkMeta())
+            ChunkNode(op=Kernel(_qr_map), inputs=[c], index=(i, 0), meta=ChunkMeta())
             for i, c in enumerate(merged)
         ]
-        stack = ChunkNode(op=_QRStack(), inputs=list(qr_maps), index=(0, 0),
+        stack = ChunkNode(op=Combine(_qr_stack), inputs=list(qr_maps), index=(0, 0),
                           meta=ChunkMeta())
         q_chunks = [
-            ChunkNode(op=_QRBackMul(i), inputs=[m, stack], index=(i, 0),
-                      meta=ChunkMeta())
+            ChunkNode(op=Kernel(partial(_qr_back_mul, block=i)), inputs=[m, stack],
+                      index=(i, 0), meta=ChunkMeta())
             for i, m in enumerate(qr_maps)
         ]
-        r_chunk = ChunkNode(op=_QRFinalR(), inputs=[stack], index=(0, 0),
-                            meta=ChunkMeta())
+        r_chunk = ChunkNode(op=Elementwise(operator.itemgetter(1), "qr.r"),
+                            inputs=[stack], index=(0, 0), meta=ChunkMeta())
         return [q_chunks, [r_chunk]]
-
-
-class _TensorConcat(Operator):
-    def execute_chunk(self, inputs, chunk):
-        return np.concatenate(inputs, axis=0)

@@ -34,7 +34,6 @@ class TestIterativeTiling:
         in the second chunk, found via iterative tiling."""
         from repro.core.chunk import payload_nbytes
 
-        sess = session(chunk_limit=1 << 30)
         # 3 source chunks of 10 rows; rows < 1 survive the filter:
         # 4, 8, and 5 survivors respectively (values encode position)
         pdf = pd.concat([
@@ -43,8 +42,8 @@ class TestIterativeTiling:
                           + [2.0] * 2}),
             pd.DataFrame({"col": [0.11, 0.12, 0.13, 0.14, 0.15] + [2.0] * 5}),
         ]).reset_index(drop=True)
+        sess = session(chunk_limit=payload_nbytes(pdf) // 3 + 1)  # → 3 chunks
         df = xpd.from_pandas(pdf, sess)
-        df._t.op.chunk_bytes = payload_nbytes(pdf) // 3 + 1  # → 3 chunks
         filtered = df[df["col"] < 1]
         assert len(filtered._t.chunks or []) == 0 or True
         row = filtered.iloc[9]  # the tenth filtered row (0-indexed 9)

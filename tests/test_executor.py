@@ -114,7 +114,7 @@ class TestExecution:
 class _NonFusable(Operator):
     no_fuse_in = True
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return inputs[0]
 
 

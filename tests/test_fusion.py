@@ -19,7 +19,7 @@ class Op(Operator):
         for k, v in flags.items():
             setattr(self, k, v)
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return inputs[0]
 
 
@@ -30,7 +30,7 @@ class Ew(Op):
         super().__init__(name)
         self.fn = fn or (lambda x: x)
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return self.fn(inputs[0])
 
 
@@ -150,7 +150,7 @@ class TestOperatorFusion:
         assert len(fused_nodes) == 1
         fop = fused_nodes[0].op
         assert isinstance(fop, FusedElementwise)
-        assert fop.execute_chunk([10], None) == (10 + 1) * 2 - 3
+        assert fop.execute_chunk([10]) == (10 + 1) * 2 - 3
         # the fused node keeps the tail's key so consumers resolve
         assert fused_nodes[0].key == c.key
 
@@ -185,5 +185,5 @@ class TestOperatorFusion:
         b = node(op=Ew(lambda d: d.assign(b=d["a"] * 10)), inputs=[a])
         dag = build([(a, b)], [a, b])
         (fused,) = fuse_elementwise_chains([a, b], dag)
-        out = fused.op.execute_chunk([df], None)
+        out = fused.op.execute_chunk([df])
         assert list(out["b"]) == [20, 30]

@@ -2,10 +2,11 @@
 reduce selection."""
 from types import SimpleNamespace
 
+import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.automerge import plan_merge_groups
+from repro.core.automerge import combine_tree, plan_merge_groups
 from repro.core.chunk import ChunkMeta, ChunkNode, estimate_nbytes
 from repro.core.config import EngineConfig
 from repro.core.operators.base import Operator, TileContext, run_tile
@@ -15,7 +16,7 @@ from repro.core.reduce_select import choose_reduce
 
 
 class NopOp(Operator):
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return None
 
 
@@ -128,6 +129,51 @@ class TestCombineTree:
     def test_shape(self, op, n):
         cfg = EngineConfig(dynamic_tiling=False, static_reduce="tree")
         assert _tree_shape(op(), n, cfg) == _TREES[n]
+
+
+def _nested(node, leaves):
+    """A tree as nested tuples of its leaves' positions in ``leaves``."""
+    if node in leaves:
+        return leaves.index(node)
+    return tuple(_nested(i, leaves) for i in node.inputs)
+
+
+class TestTreeTerminates:
+    """A level whose chunks are each at least ``chunk_limit`` bytes cannot
+    put two in one merge group; it is combined in adjacent pairs, so
+    every level shrinks and the tree ends."""
+
+    @pytest.mark.parametrize("n, tree", [
+        (5, ((0, 1), (2, 3), 4)),
+        (9, (((0, 1), (2, 3)), ((4, 5), (6, 7)), 8)),
+    ])
+    def test_oversized_chunks_pair_up(self, n, tree, deadline):
+        ctx = ctx_with(EngineConfig(chunk_limit=100))
+        chunks = [chunk() for _ in range(n)]
+        observe(chunks, 100)
+        with deadline(10):
+            root = combine_tree(ctx, chunks, sum, sum)
+        assert _nested(root, chunks) == tree
+
+    def test_groupby_tree_over_oversized_partials(self, deadline):
+        """Two probed partials each at least ``chunk_limit`` bytes: the
+        rest are estimated the same, and the tree path was chosen
+        because the total is under ``tree_reduce_threshold``."""
+        from repro.frontend import dataframe as xpd
+        from repro.frontend.session import XSession
+
+        g = np.random.default_rng(0)
+        pdf = pd.DataFrame({"k": g.integers(0, 300, 4_000),
+                            "s": g.integers(0, 5, 4_000), "v": g.random(4_000)})
+        sess = XSession(EngineConfig(chunk_limit=16_000))
+        try:
+            with deadline(60):
+                got = xpd.from_pandas(pdf, sess).groupby(["k", "s"]).agg(
+                    {"v": "mean"}).to_pandas()
+            assert "tree" in sess.stats.reduce_choices.values()
+        finally:
+            sess.close()
+        pd.testing.assert_frame_equal(got, pdf.groupby(["k", "s"]).agg({"v": "mean"}))
 
 
 class TestReduceSelect:

@@ -8,9 +8,9 @@ import pytest
 
 from repro.core.operators.dataframe import (
     ALGEBRAIC_FUNCS,
-    _AggCombine,
-    _AggFinalize,
-    _AggMap,
+    _agg_combine,
+    _agg_finalize,
+    _agg_map,
     _concat_parts,
     _detect_hot_keys,
     _merge_split,
@@ -196,13 +196,9 @@ class TestAggKernels:
         specs = [("total", "v", "sum"), ("avg", "v", "mean"),
                  ("n", "v", "size"), ("lo", "v", "min")]
         halves = [df.iloc[:500], df.iloc[500:]]
-        partials = [
-            _AggMap(["k"], specs).execute_chunk([h], None) for h in halves
-        ]
-        combined = _AggCombine().execute_chunk(partials, None)
-        final = _AggFinalize(["k"], specs, "flat").execute_chunk(
-            [combined], None
-        )
+        partials = [_agg_map(h, ["k"], specs) for h in halves]
+        combined = _agg_combine(*partials)
+        final = _agg_finalize(combined, keys=["k"], specs=specs, layout="flat")
         exp = df.groupby("k").agg(
             total=("v", "sum"), avg=("v", "mean"), n=("v", "size"),
             lo=("v", "min"),
@@ -211,9 +207,7 @@ class TestAggKernels:
 
     def test_map_rejects_non_algebraic(self):
         with pytest.raises(ValueError):
-            _AggMap(["k"], [("u", "v", "nunique")]).execute_chunk(
-                [frame(10)], None
-            )
+            _agg_map(frame(10), ["k"], [("u", "v", "nunique")])
 
 
 class TestConcatParts:

@@ -7,7 +7,7 @@ from repro.core.subtask import Subtask
 
 
 class NopOp(Operator):
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return None
 
 

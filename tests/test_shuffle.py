@@ -1,6 +1,7 @@
 """The one shuffle stage: ``shuffle()`` builds every groupby, merge and
 sort shuffle, and every chunk graph keeps its invariants — only a
-``ShuffleMap`` blocks fusion on its way out, only a ``ShuffleReduce``
+``ShuffleMap`` blocks fusion on its way out, only a ``Combine`` or a
+``ShuffleReduce`` blocks it on its way in, only a ``ShuffleReduce``
 names a reducer, and each reducer reads every mapper of its stage."""
 import numpy as np
 import pandas as pd
@@ -10,7 +11,8 @@ from repro.core.chunk import ChunkMeta, ChunkNode
 from repro.core.config import EngineConfig
 from repro.core.executor import LocalExecutor
 from repro.core.graph import build_dag
-from repro.core.operators.base import DataChunk, ShuffleMap, ShuffleReduce, shuffle
+from repro.core.operators.base import (Combine, DataChunk, ShuffleMap,
+                                      ShuffleReduce, shuffle)
 from repro.core.operators.dataframe import hash_partition
 from repro.frontend import dataframe as xpd
 from repro.frontend.session import XSession
@@ -76,7 +78,8 @@ class TestShuffleBuilder:
 
 
 SF = 0.002
-INVARIANT_QUERIES = ["q02", "q03", "q07", "q13", "q18", "q21"]
+# q04's drop_duplicates is a combine tree in both modes
+INVARIANT_QUERIES = ["q02", "q03", "q04", "q07", "q13", "q18", "q21"]
 INVARIANT_CONFIGS = {
     # broadcast and tree reduce off: every merge and groupby shuffles
     "dynamic": dict(chunk_limit=16_000, broadcast_threshold=0,
@@ -91,14 +94,16 @@ def tpch_tables():
     return tpch_tables_pdf(SF)
 
 
-def _check_invariants(dag) -> set:
-    """Assert the shuffle invariants on one chunk graph; return the split
-    kernels of its stages."""
+def _check_invariants(dag) -> tuple[set, set]:
+    """Assert the fusion-barrier and shuffle invariants on one chunk
+    graph; return the split kernels of its stages and the op types that
+    block fusion on their way in."""
     nodes = list(dag.nodes())
     stages: dict = {}
     consumers: dict = {}
     for c in nodes:
         assert not c.op.no_fuse_out or type(c.op) is ShuffleMap, c
+        assert not c.op.no_fuse_in or type(c.op) in (Combine, ShuffleReduce), c
         assert not hasattr(c.op, "reducer") or type(c.op) is ShuffleReduce, c
         if type(c.op) is ShuffleReduce:
             maps = tuple(i.key for i in c.inputs)
@@ -113,7 +118,8 @@ def _check_invariants(dag) -> set:
     for c in nodes:
         if type(c.op) is ShuffleMap and c.key in consumers:
             assert all(type(s.op) is ShuffleReduce for s in dag.successors(c))
-    return {c.op.split.func.__name__ for c in nodes if type(c.op) is ShuffleMap}
+    splits = {c.op.split.func.__name__ for c in nodes if type(c.op) is ShuffleMap}
+    return splits, {type(c.op) for c in nodes if c.op.no_fuse_in}
 
 
 def _query_chunk_graph(out):
@@ -125,13 +131,16 @@ def _query_chunk_graph(out):
 
 @pytest.mark.parametrize("mode", list(INVARIANT_CONFIGS))
 def test_chunk_graph_shuffle_invariants(mode, tpch_tables):
-    kernels = set()
+    kernels, barriers = set(), set()
     for qname in INVARIANT_QUERIES:
         q = QUERIES[qname]
         sess = XSession(EngineConfig(**INVARIANT_CONFIGS[mode]))
         frames = {n: xpd.from_pandas(tpch_tables[n], sess) for n in q.tables}
         out = q.fn(frames)
         out.to_pandas()
-        kernels |= _check_invariants(_query_chunk_graph(out))
+        splits, ops = _check_invariants(_query_chunk_graph(out))
+        kernels |= splits
+        barriers |= ops
         sess.close()
     assert {"_agg_split", "_merge_split"} <= kernels
+    assert barriers == {Combine, ShuffleReduce}

@@ -16,7 +16,7 @@ class Op(Operator):
         for k, v in flags.items():
             setattr(self, k, v)
 
-    def execute_chunk(self, inputs, chunk):
+    def execute_chunk(self, inputs):
         return inputs[0] if inputs else None
 
 

@@ -114,7 +114,7 @@ class ChunkMeta:
     ``observed`` marks what execution recorded: the executor writes it
     onto the chunk's node when it stores the payload, so it lives as
     long as the graph that holds the chunk. Metadata without it is a
-    tile-time hint (a source's exact size, a shape copied from an
+    tile-time hint (a source chunk's shape, a shape copied from an
     input); decisions that need execution's word ask for ``observed``."""
 
     shape: Optional[tuple] = None
@@ -124,13 +124,11 @@ class ChunkMeta:
     observed: bool = False
 
     @classmethod
-    def from_payload(cls, payload: Any, nbytes: Optional[int] = None,
+    def from_payload(cls, payload: Any, nbytes: int,
                      observed: bool = False) -> "ChunkMeta":
-        meta = cls(
-            shape=payload_shape(payload),
-            nbytes=nbytes if nbytes is not None else payload_nbytes(payload),
-            observed=observed,
-        )
+        """Metadata of ``payload``, whose size ``nbytes`` the caller has
+        already metered."""
+        meta = cls(shape=payload_shape(payload), nbytes=nbytes, observed=observed)
         if isinstance(payload, pd.DataFrame):
             meta.columns = list(payload.columns)
             meta.dtypes = {c: str(t) for c, t in payload.dtypes.items()}

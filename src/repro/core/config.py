@@ -4,11 +4,13 @@ Every policy the paper ablates is a flag here so benchmarks can toggle
 dynamic tiling, graph-level fusion, and operator-level fusion
 independently (paper Fig. 9), and so baseline engine simulators can run
 the same substrate with a different partitioning policy (paper Tables
-I/II).
+I/II). Only the knobs live here: what dynamic tiling decided is on each
+tileable (``Tileable.decision``) and the probe count on the tiler
+(``GraphTiler.yields``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -65,16 +67,3 @@ class EngineConfig:
     def resolved_skew_key_limit(self) -> int:
         return self.skew_key_limit if self.skew_key_limit is not None else self.chunk_limit
 
-
-@dataclass
-class TileStats:
-    """Counters recorded while tiling — asserted on by tests and reported
-    by the ablation benchmarks (e.g. "dynamic tiling executed N probe
-    chunks", "merge chose broadcast")."""
-
-    probe_executions: int = 0
-    yields: int = 0
-    # decision records, one per op instance: keyed by the tiled
-    # tileable's key, then the op and its keys
-    reduce_choices: dict = field(default_factory=dict)  # -> "tree"|"shuffle"
-    merge_choices: dict = field(default_factory=dict)  # -> "broadcast"|"shuffle"|"skew"

@@ -3,13 +3,16 @@
 Every Xorbits API is internally an operator implementing three methods:
 
 * ``__call__`` — build the node of the **tileable graph** (logical plan).
-  Here that is :meth:`Operator.new_tileable`, invoked by the frontend.
-* ``tile`` — expand the node into **chunk graph** nodes. ``tile`` is a
-  *generator*: when it needs execution metadata that is missing, it
-  ``yield``s the chunks to run (paper Fig. 5b); the dynamic tiler
-  executes them, which records observed metadata on those chunk nodes
-  (``chunk.meta.observed``), and resumes the generator at the yield
-  point. Static operators simply never yield.
+  Here that is :meth:`Operator.new_tileable`, invoked by the frontend:
+  an operator has exactly one output tileable.
+* ``tile`` — expand the node into **chunk graph** nodes and return its
+  one chunk list. ``tile`` is a *generator*: when it needs execution
+  metadata that is missing, it ``yield``s the chunks to run (paper
+  Fig. 5b); the dynamic tiler executes them, which records observed
+  metadata on those chunk nodes (``chunk.meta.observed``), and resumes
+  the generator at the yield point. Static operators simply never
+  yield. A dynamic operator records the partitioning it picked on its
+  tileable (``Tileable.decision``).
 * ``execute_chunk`` — run one chunk's kernel on the single-node backend
   (pandas / NumPy), given the input payloads.
 
@@ -35,11 +38,10 @@ merge and sort vary only the split and reduce kernels.
 from __future__ import annotations
 
 import itertools
-import weakref
 from typing import Any, Callable, Generator, Optional, Sequence
 
 from ..chunk import ChunkMeta, ChunkNode
-from ..config import EngineConfig, TileStats
+from ..config import EngineConfig
 
 _tileable_counter = itertools.count()
 
@@ -50,40 +52,43 @@ class Tileable:
     ``columns_hint`` is a planning-time hint only; authoritative
     metadata is what execution records on the chunk nodes (the whole
     point of dynamic tiling is that hints can be wrong or absent).
+    ``decision`` is the partitioning a dynamic operator picked when it
+    was tiled (``"tree"``/``"shuffle"`` for a groupby,
+    ``"broadcast"``/``"shuffle"``/``"skew"`` for a merge), so it lives
+    exactly as long as the query's graph.
     """
 
     def __init__(
         self,
         op: "Operator",
         inputs: Sequence["Tileable"],
-        out_slot: int = 0,
         columns_hint: Optional[list] = None,
         kind: str = "dataframe",  # "dataframe" | "series" | "tensor" | "scalar"
     ) -> None:
         self.op = op
         self.inputs = list(inputs)
-        self.out_slot = out_slot
         self.key = f"t{next(_tileable_counter)}"
         self.columns_hint = columns_hint
         self.kind = kind
         self.chunks: Optional[list[ChunkNode]] = None  # set by the tiler
+        self.decision: Optional[str] = None  # set by a dynamic op's tile
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Tileable {self.key} {type(self.op).__name__}[{self.out_slot}]>"
+        return f"<Tileable {self.key} {type(self.op).__name__}>"
 
 
 class Operator:
     """Base class for all operators.
 
-    Subclasses set ``output_count`` and implement :meth:`execute_chunk`;
-    any op that is not 1:1 row-aligned also overrides :meth:`tile`.
+    An operator has one output tileable and tiles into one chunk list.
+    Subclasses implement :meth:`execute_chunk`; any op that is not 1:1
+    row-aligned also overrides :meth:`tile`.
     The chunk-level ops a ``tile`` builds (a groupby's map and combine
     nodes, a shuffle's mappers and reducers) are :class:`Kernel`,
     :class:`Combine` and shuffle instances; only :meth:`execute_chunk`
     is called on them.
     """
 
-    output_count = 1
     #: set only on :class:`Combine` and :class:`ShuffleReduce`: graph-level
     #: fusion never crosses their *incoming* edges (they gather from
     #: many chunks).
@@ -98,44 +103,19 @@ class Operator:
     #: whose output has exactly that input's rows
     preserves_shape = False
 
-    #: weak references to this op's output tileables. A tileable owns
-    #: its op, not the reverse: a strong back-edge would form a cycle
-    #: that keeps every finished query's graph alive until a full GC,
-    #: and would drag the tileable graph into every pickled chunk op.
-    _output_refs: tuple = ()
-
     # -- tileable level -------------------------------------------------
     def new_tileable(self, inputs: Sequence[Tileable], **tileable_kw) -> Tileable:
-        assert self.output_count == 1
-        return self.new_tileables(inputs, [tileable_kw])[0]
-
-    def new_tileables(
-        self, inputs: Sequence[Tileable], kws: Sequence[dict]
-    ) -> list[Tileable]:
-        assert len(kws) == self.output_count
-        outs = [Tileable(self, inputs, slot, **kw) for slot, kw in enumerate(kws)]
-        self._output_refs = tuple(weakref.ref(t) for t in outs)
-        return outs
-
-    @property
-    def outputs(self) -> list[Tileable]:
-        """The output tileables still referenced from somewhere."""
-        return [t for t in (r() for r in self._output_refs) if t is not None]
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_output_refs", None)
-        return state
+        """The op's output tileable (the node of the tileable graph)."""
+        return Tileable(self, inputs, **tileable_kw)
 
     # -- chunk level ----------------------------------------------------
     def tile(
         self, ctx: "TileContext"
-    ) -> "Generator[list[ChunkNode], None, list[list[ChunkNode]]] | list[list[ChunkNode]]":
-        """Expand into chunks.
+    ) -> "Generator[list[ChunkNode], None, list[ChunkNode]] | list[ChunkNode]":
+        """Expand into the output's chunks.
 
-        Returns one chunk list per output slot (so a single-output op
-        returns ``[chunks]``). May be implemented as a generator that
-        yields chunk lists to request their execution (dynamic tiling).
+        May be implemented as a generator that yields chunk lists to
+        request their execution (dynamic tiling) and returns the chunks.
 
         The default is the row-aligned 1:1 expansion: every input has
         either one chunk, which is broadcast, or ``n``; output chunk
@@ -156,7 +136,7 @@ class Operator:
             shape = full[i].meta.shape if self.preserves_shape else None
             chunks.append(ChunkNode(op=self, inputs=ins, index=(i, 0),
                                     meta=ChunkMeta(shape=shape)))
-        return [chunks]
+        return chunks
 
     def execute_chunk(self, inputs: list[Any]) -> Any:
         """Compute a chunk's payload from its input payloads."""
@@ -272,22 +252,16 @@ def shuffle(sides: Sequence[tuple[list[ChunkNode], Callable]], n: int,
 
 
 class TileContext:
-    """Everything an operator's ``tile`` needs: config, the current op's
-    already-tiled input tileables, probe payloads from the storage
-    service, and tiling statistics. ``key`` is the tileable being tiled:
-    it names the op's decision records."""
+    """Everything an operator's ``tile`` needs: config, the tileable
+    being tiled (where a dynamic op records its ``decision``), its
+    already-tiled input tileables, and probe payloads from the storage
+    service."""
 
-    def __init__(
-        self,
-        cfg: EngineConfig,
-        stats: Optional[TileStats] = None,
-        storage: Any = None,
-    ) -> None:
+    def __init__(self, cfg: EngineConfig, storage: Any = None) -> None:
         self.cfg = cfg
-        self.stats = stats or TileStats()
         self.storage = storage
+        self.tileable: Optional[Tileable] = None  # set by run_tile per op
         self.inputs: list[Tileable] = []  # set by run_tile per op
-        self.key = ""  # set by run_tile per op
 
     def input_chunks(self, slot: int = 0) -> list[ChunkNode]:
         """Chunks of the current op's ``slot``-th input tileable."""
@@ -304,8 +278,9 @@ class TileContext:
         return self.storage.get(key)
 
 
-def run_tile(t: Tileable, ctx: TileContext, execute_cb) -> list[list[ChunkNode]]:
-    """Drive the ``tile`` of ``t``'s operator, servicing its yields.
+def run_tile(t: Tileable, ctx: TileContext, execute_cb) -> list[ChunkNode]:
+    """Drive the ``tile`` of ``t``'s operator, servicing its yields, and
+    return ``t``'s chunks.
 
     ``execute_cb(chunks)`` must execute the chunks (and any unexecuted
     ancestors) and record their metadata on the chunk nodes. This is
@@ -313,19 +288,20 @@ def run_tile(t: Tileable, ctx: TileContext, execute_cb) -> list[list[ChunkNode]]
     paper's Fig. 5a depicts.
     """
     op = t.op
+    ctx.tileable = t
     ctx.inputs = t.inputs
-    ctx.key = t.key
     result = op.tile(ctx)
     if isinstance(result, Generator):
         gen = result
         try:
             request = next(gen)
             while True:
-                ctx.stats.yields += 1
-                ctx.stats.probe_executions += len(request)
                 execute_cb(request)
                 request = gen.send(None)
         except StopIteration as stop:
             result = stop.value
-    assert result is not None, f"{type(op).__name__}.tile returned no chunks"
+    assert (isinstance(result, list) and result
+            and all(isinstance(c, ChunkNode) for c in result)), (
+        f"{type(op).__name__}.tile must return a non-empty chunk list, "
+        f"got {result!r}")
     return result

@@ -165,15 +165,14 @@ class FromPandas(Operator):
 
     def __init__(self, pdf: Any) -> None:
         self.pdf = pdf
-        self.pruned_columns: Optional[list] = None  # set by column pruning
+        self.pruned_columns: Optional[set] = None  # set by column pruning
 
     def tile(self, ctx: TileContext):
         pdf = self.pdf
         if self.pruned_columns is not None and isinstance(pdf, pd.DataFrame):
             # the pruner is conservative about suffixed/derived names;
-            # keep only columns the source actually has
-            keep = [c for c in pdf.columns if c in set(self.pruned_columns)]
-            pdf = pdf[keep]
+            # keep only columns the source has, in the source's order
+            pdf = pdf[[c for c in pdf.columns if c in self.pruned_columns]]
         limit = ctx.cfg.chunk_limit
         if isinstance(pdf, pd.Series):
             pieces = [
@@ -184,10 +183,10 @@ class FromPandas(Operator):
             pieces = split_pandas(pdf, limit)
         chunks = [
             ChunkNode(op=DataChunk(p), inputs=[], index=(i, 0),
-                      meta=ChunkMeta.from_payload(p))
+                      meta=ChunkMeta(shape=p.shape))
             for i, p in enumerate(pieces)
         ]
-        return [chunks]
+        return chunks
 
     def required_input_columns(self, required_out):
         return []
@@ -310,7 +309,7 @@ class Concat(Operator):
                                         inputs=[c], index=(r, 0),
                                         meta=ChunkMeta(shape=c.meta.shape)))
                 r += 1
-        return [chunks]
+        return chunks
 
 
 def _identity(x):
@@ -357,7 +356,7 @@ class ILoc(Operator):
                                    index=(0, 0), meta=ChunkMeta())
                 out = ChunkNode(op=Kernel(partial(_iloc, item=self.item)),
                                 inputs=[gather], index=(0, 0), meta=ChunkMeta())
-                return [[out]]
+                return [out]
         lengths = [c.meta.shape[0] for c in in_chunks]
         offsets = np.cumsum([0] + lengths)
         total = int(offsets[-1])
@@ -369,7 +368,7 @@ class ILoc(Operator):
             local = pos - int(offsets[ci])
             out = ChunkNode(op=Kernel(partial(_iloc, item=local)),
                             inputs=[in_chunks[ci]], index=(0, 0), meta=ChunkMeta())
-            return [[out]]
+            return [out]
         # slice
         start, stop, step = self.item.indices(total)
         chunks = []
@@ -388,7 +387,7 @@ class ILoc(Operator):
             empty = ChunkNode(op=Kernel(partial(_iloc, item=slice(0, 0))),
                               inputs=[in_chunks[0]], index=(0, 0), meta=ChunkMeta())
             chunks = [empty]
-        return [chunks]
+        return chunks
 
 
 class Head(ILoc):
@@ -524,20 +523,20 @@ class GroupByAgg(Operator):
         mode, n_reducers, est_out = choose_reduce(
             ctx, in_chunks, probe_meta, algebraic=self.algebraic
         )
-        ctx.stats.reduce_choices[f"{ctx.key}:GroupByAgg:{','.join(self.keys)}"] = mode
+        ctx.tileable.decision = mode
 
         if mode == "tree":
             final = partial(_agg_finalize, keys=self.keys, specs=specs,
                             layout=self.layout)
             mapped = probe_meta[0] if probe_meta is not None else ()
-            return [[tree_reduce(ctx, in_chunks, agg_map, _agg_combine, final,
-                                 mapped=mapped)]]
+            return [tree_reduce(ctx, in_chunks, agg_map, _agg_combine, final,
+                                mapped=mapped)]
 
         split = partial(_agg_split, keys=self.keys, specs=specs, n=n_reducers,
                         algebraic=self.algebraic, series_name=self.series_name)
         reduce = partial(_agg_reduce, keys=self.keys, specs=specs,
                          layout=self.layout, algebraic=self.algebraic)
-        return [shuffle([(in_chunks, split)], n_reducers, reduce)]
+        return shuffle([(in_chunks, split)], n_reducers, reduce)
 
     def _resolved_specs(self, ctx: TileContext):
         """Resolve ``agg('sum')``-style whole-frame specs against the
@@ -668,66 +667,64 @@ class Merge(Operator):
         cfg = ctx.cfg
         left = ctx.input_chunks(0)
         right = ctx.input_chunks(1)
-        lkeys, rkeys = self.kw.left_keys(), self.kw.right_keys()
-        op_key = f"{ctx.key}:merge:{lkeys}/{rkeys}"
+        if not cfg.dynamic_tiling:
+            n_red = cfg.static_shuffle_partitions or max(len(left), len(right))
+            return self._shuffle(left, right, n_red)
 
-        est_l = est_r = None
-        hot_keys: Optional[frozenset] = None
-        hot_bytes = 0
-        if cfg.dynamic_tiling:
-            probes = [c for c in left[:PROBE_CHUNKS] + right[:PROBE_CHUNKS]
-                      if not c.meta.observed]
-            if probes:
-                yield probes
-            est_l = estimate_nbytes(left)
-            est_r = estimate_nbytes(right)
-            hot_keys, hot_bytes = _detect_hot_keys(ctx, left, right, lkeys, rkeys)
+        probes = [c for c in left[:PROBE_CHUNKS] + right[:PROBE_CHUNKS]
+                  if not c.meta.observed]
+        if probes:
+            yield probes
+        # every side has an observed chunk now, so both estimates exist
+        est_l = estimate_nbytes(left)
+        est_r = estimate_nbytes(right)
 
         # --- broadcast path -------------------------------------------
-        if cfg.dynamic_tiling and est_l is not None and est_r is not None:
-            small_side = None
-            if est_r <= cfg.broadcast_threshold and self.kw.how in ("inner", "left"):
-                small_side = "right"
-            elif est_l <= cfg.broadcast_threshold and self.kw.how in ("inner", "right"):
-                small_side = "left"
-            if small_side is not None:
-                big, small = (left, right) if small_side == "right" else (right, left)
-                ctx.stats.merge_choices[op_key] = "broadcast"
-                merge = Kernel(partial(_merge_broadcast, kw=self.kw,
-                                       small_side=small_side))
-                chunks = [
-                    ChunkNode(op=merge, inputs=[b] + list(small), index=(i, 0),
-                              meta=ChunkMeta())
-                    for i, b in enumerate(big)
-                ]
-                return [chunks]
+        small_side = None
+        if est_r <= cfg.broadcast_threshold and self.kw.how in ("inner", "left"):
+            small_side = "right"
+        elif est_l <= cfg.broadcast_threshold and self.kw.how in ("inner", "right"):
+            small_side = "left"
+        if small_side is not None:
+            ctx.tileable.decision = "broadcast"
+            big, small = (left, right) if small_side == "right" else (right, left)
+            merge = Kernel(partial(_merge_broadcast, kw=self.kw,
+                                   small_side=small_side))
+            return [
+                ChunkNode(op=merge, inputs=[b] + list(small), index=(i, 0),
+                          meta=ChunkMeta())
+                for i, b in enumerate(big)
+            ]
 
-        # --- shuffle path ---------------------------------------------
-        if cfg.dynamic_tiling and est_l is not None and est_r is not None:
-            n_red = max(1, math.ceil((est_l + est_r) / cfg.chunk_limit))
-        else:
-            n_red = cfg.static_shuffle_partitions or max(len(left), len(right))
-        hot_buckets = 0
-        use_hot = bool(hot_keys) and cfg.dynamic_tiling
-        if use_hot:
-            hot_buckets = max(1, math.ceil(hot_bytes / cfg.chunk_limit))
-            ctx.stats.merge_choices[op_key] = "skew"
-        elif cfg.dynamic_tiling:
-            ctx.stats.merge_choices[op_key] = "shuffle"
-        hot_fs = frozenset(hot_keys) if use_hot else None
-        # probe side = the preserved/larger side (left for how='left');
-        # build side replicates its hot rows to every hot bucket.
+        # --- shuffle path, with skew buckets for hot keys --------------
+        n_red = max(1, math.ceil((est_l + est_r) / cfg.chunk_limit))
+        hot_keys, hot_bytes = _detect_hot_keys(
+            ctx, left, right, self.kw.left_keys(), self.kw.right_keys())
+        if not hot_keys:
+            ctx.tileable.decision = "shuffle"
+            return self._shuffle(left, right, n_red)
+        ctx.tileable.decision = "skew"
+        hot_buckets = max(1, math.ceil(hot_bytes / cfg.chunk_limit))
+        return self._shuffle(left, right, n_red, frozenset(hot_keys), hot_buckets)
+
+    def _shuffle(self, left, right, n_red: int,
+                 hot_keys: Optional[frozenset] = None, hot_buckets: int = 0):
+        """Hash shuffle into ``n_red`` reducers plus ``hot_buckets`` skew
+        buckets for ``hot_keys``. The probe side (the preserved/larger
+        side, left for ``how='left'``) spreads its hot rows over the skew
+        buckets; the build side replicates its hot rows to every one."""
+        use_hot = hot_keys is not None
         probe_is_left = self.kw.how in ("left", "inner")
-        split = partial(_merge_split, n=n_red, hot_keys=hot_fs,
+        split = partial(_merge_split, n=n_red, hot_keys=hot_keys,
                         hot_buckets=hot_buckets)
         sides = [
-            (left, partial(split, keys=lkeys,
+            (left, partial(split, keys=self.kw.left_keys(),
                            replicate_hot=use_hot and not probe_is_left)),
-            (right, partial(split, keys=rkeys,
+            (right, partial(split, keys=self.kw.right_keys(),
                             replicate_hot=use_hot and probe_is_left)),
         ]
         reduce = partial(_merge_reduce, kw=self.kw, n_left=len(left))
-        return [shuffle(sides, n_red + hot_buckets, reduce)]
+        return shuffle(sides, n_red + hot_buckets, reduce)
 
     def required_input_columns(self, required_out):
         if required_out is None:
@@ -841,7 +838,7 @@ class SortValues(Operator):
             out = ChunkNode(op=Kernel(partial(_sort_all, by=self.by,
                                               ascending=self.ascending)),
                             inputs=list(in_chunks), index=(0, 0), meta=ChunkMeta())
-            return [[out]]
+            return [out]
         n_red = max(1, math.ceil(est / cfg.chunk_limit))
         bounds = self._sample_bounds(ctx, in_chunks, n_red)
         split = partial(_range_split, by=self.by, bounds=bounds,
@@ -849,7 +846,7 @@ class SortValues(Operator):
         reduce = partial(_range_sort, by=self.by, ascending=self.ascending)
         # bucket count must match what the mappers emit: quantile bounds
         # may dedup to fewer splits than requested
-        return [shuffle([(in_chunks, split)], len(bounds) + 1, reduce)]
+        return shuffle([(in_chunks, split)], len(bounds) + 1, reduce)
 
     def _sample_bounds(self, ctx, in_chunks, n_red):
         samples = []
@@ -885,7 +882,7 @@ class MapGather(Operator):
             op=Combine(partial(_gather_apply, fn=self.fn)),
             inputs=list(ctx.input_chunks(0)), index=(0, 0), meta=ChunkMeta(),
         )
-        return [[out]]
+        return [out]
 
 
 def _dedup(*parts, subset):
@@ -906,7 +903,7 @@ class DropDuplicates(Operator):
 
     def tile(self, ctx: TileContext):
         dedup = partial(_dedup, subset=self.subset)
-        return [[tree_reduce(ctx, ctx.input_chunks(0), dedup, dedup, dedup)]]
+        return [tree_reduce(ctx, ctx.input_chunks(0), dedup, dedup, dedup)]
 
     def required_input_columns(self, required_out):
         if required_out is None or self.subset is None:
@@ -959,4 +956,4 @@ class ScalarAgg(Operator):
         maps = map_chunks(ctx.input_chunks(0), partial(_scalar_map, func=self.func))
         out = ChunkNode(op=Combine(partial(_scalar_reduce, func=self.func)),
                         inputs=maps, index=(0, 0), meta=ChunkMeta())
-        return [[out]]
+        return [out]

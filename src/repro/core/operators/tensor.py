@@ -48,10 +48,10 @@ class TensorSource(Operator):
         slices = _tile_rows(self.arr.shape, self.arr.itemsize, ctx.cfg)
         chunks = [
             ChunkNode(op=DataChunk(self.arr[lo:hi]), inputs=[], index=(i, 0),
-                      meta=ChunkMeta.from_payload(self.arr[lo:hi]))
+                      meta=ChunkMeta(shape=(hi - lo,) + self.arr.shape[1:]))
             for i, (lo, hi) in enumerate(slices)
         ]
-        return [chunks]
+        return chunks
 
 
 class TensorRandom(Operator):
@@ -85,7 +85,7 @@ class TensorRandom(Operator):
                           meta=ChunkMeta(shape=cshape,
                                          nbytes=int(np.prod(cshape)) * 8))
             )
-        return [chunks]
+        return chunks
 
 
 class MatMul(Operator):
@@ -127,7 +127,7 @@ class TensorMapReduce(Operator):
     def tile(self, ctx: TileContext):
         # a single chunk still gets a reduce node, for type parity
         fold = partial(_fold, fn=self.reduce_fn)
-        return [[tree_reduce(ctx, ctx.input_chunks(0), self.map_fn, fold, fold)]]
+        return [tree_reduce(ctx, ctx.input_chunks(0), self.map_fn, fold, fold)]
 
 
 # --------------------------------------------------------------------------
@@ -167,10 +167,9 @@ class TensorQR(Operator):
     ``tile`` first *re-chunks* the input with Algorithm 1 under the
     tall-and-skinny constraint (``dim_to_size={1: n_cols}``) — the step
     Dask pushes onto the user (paper Listing 1). Chunks that are too
-    short (rows < cols) are auto-merged before the local QR.
+    short (rows < cols) are auto-merged before the local QR. Its output
+    is Q; :class:`TensorQRR` reads R off the same R stack.
     """
-
-    output_count = 2
 
     def tile(self, ctx: TileContext):
         in_chunks = ctx.input_chunks(0)
@@ -215,11 +214,18 @@ class TensorQR(Operator):
         ]
         stack = ChunkNode(op=Combine(_qr_stack), inputs=list(qr_maps), index=(0, 0),
                           meta=ChunkMeta())
-        q_chunks = [
+        return [
             ChunkNode(op=Kernel(partial(_qr_back_mul, block=i)), inputs=[m, stack],
                       index=(i, 0), meta=ChunkMeta())
             for i, m in enumerate(qr_maps)
         ]
-        r_chunk = ChunkNode(op=Elementwise(operator.itemgetter(1), "qr.r"),
-                            inputs=[stack], index=(0, 0), meta=ChunkMeta())
-        return [q_chunks, [r_chunk]]
+
+
+class TensorQRR(Operator):
+    """The R of a TSQR, over Q's tileable: one chunk that takes R from
+    the stack every Q chunk reads (``inputs[1]`` of each)."""
+
+    def tile(self, ctx: TileContext):
+        stack = ctx.input_chunks(0)[0].inputs[1]
+        return [ChunkNode(op=Elementwise(operator.itemgetter(1), "qr.r"),
+                          inputs=[stack], index=(0, 0), meta=ChunkMeta())]

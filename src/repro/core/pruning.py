@@ -1,7 +1,7 @@
 """Column pruning over the tileable graph (paper Section V-A).
 
 Traverses backward from the data sinks recording the columns each
-operator needs, and registers the pruned column list on the data-source
+operator needs, and registers the pruned column set on the data-source
 operators so unnecessary columns are never loaded (the paper's analogue
 of predicate/projection pushdown). Conservative: any operator that
 cannot describe its needs (``required_input_columns`` returning
@@ -64,21 +64,12 @@ def apply_pruning(dag: DAG[Tileable]) -> list[Tileable]:
         if t.chunks is not None:
             # already tiled: check the earlier prune still covers req
             loaded = op.pruned_columns  # None = loaded everything
-            if loaded is None:
+            if loaded is None or (req is not None and req <= loaded):
                 continue
-            if req is None or not set(req) <= set(loaded):
-                stale.append(t)
-                op.pruned_columns = _cols_for(t, req)
-            continue
-        if req is not None:
-            op.pruned_columns = _cols_for(t, req)
+            stale.append(t)
+        # a source loads the required names it has
+        hint = t.columns_hint
+        if req is not None and hint is not None:
+            req = req & set(hint)
+        op.pruned_columns = req
     return stale
-
-
-def _cols_for(t: Tileable, req: Optional[set]) -> Optional[list]:
-    if req is None:
-        return None
-    hint = t.columns_hint
-    if hint is not None:
-        return [c for c in hint if c in req]
-    return sorted(req)

@@ -1,21 +1,24 @@
 """The dynamic tiler (paper Section IV, Fig. 5a).
 
-Walks the tileable graph in topological order and drives every
-operator's ``tile`` generator. When a generator yields chunks — because
-it needs metadata that only execution can supply — the tiler *switches
-from graph construction to graph execution*: it submits the partial
-chunk graph to the executor, which records the observed metadata on
-those chunk nodes, and resumes the generator at the yield point
-("iterative tiling"). With ``cfg.dynamic_tiling`` off, generators never
+Walks the tileable graph in topological order and drives the ``tile``
+generator of every tileable not tiled yet: an operator has one output
+tileable, and its ``tile`` returns that tileable's chunk list. When a
+generator yields chunks — because it needs metadata that only
+execution can supply — the tiler *switches from graph construction to
+graph execution*: it submits the partial chunk graph to the executor,
+which records the observed metadata on those chunk nodes, and resumes
+the generator at the yield point ("iterative tiling"). With ``cfg.dynamic_tiling`` off, generators never
 yield and partitioning falls back to static estimates — the baseline
-behaviour of the systems in paper Tables I/II.
+behaviour of the systems in paper Tables I/II. ``GraphTiler.yields``
+counts the switches; what each dynamic operator decided is on its
+tileable (``Tileable.decision``), so it goes with the query's graph.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
 from .chunk import ChunkNode
-from .config import EngineConfig, TileStats
+from .config import EngineConfig
 from .executor import BaseExecutor
 from .graph import build_dag
 from .operators.base import Tileable, TileContext, run_tile
@@ -28,7 +31,7 @@ class GraphTiler:
     def __init__(self, cfg: EngineConfig, executor: BaseExecutor) -> None:
         self.cfg = cfg
         self.executor = executor
-        self.stats = TileStats()
+        self.yields = 0  # probe executions, i.e. tile → execute switches
 
     def tile(self, targets: Iterable[Tileable]) -> list[str]:
         """Tile every not-yet-tiled tileable reachable from ``targets``
@@ -54,31 +57,18 @@ class GraphTiler:
             stale = apply_pruning(dag)
             if stale:
                 self._invalidate(dag, stale)
-        ctx = TileContext(self.cfg, self.stats, self.executor.storage)
+        ctx = TileContext(self.cfg, self.executor.storage)
 
         def execute_probe(chunks: list[ChunkNode]) -> None:
             # the switch to execution (Fig. 5a step 2): run the partial
             # graph; its payloads stay held for the resumed generator
+            self.yields += 1
             self.executor.execute(chunks)
             holds.extend(c.key for c in chunks)
 
-        tiled_ops: set[int] = set()
         for t in dag.topological_order():
-            if t.chunks is not None:
-                tiled_ops.add(id(t.op))
-                continue
-            if id(t.op) in tiled_ops:
-                continue  # multi-output op already tiled via sibling
-            tiled_ops.add(id(t.op))
-            chunk_lists = run_tile(t, ctx, execute_probe)
-            assert len(chunk_lists) == t.op.output_count, (
-                f"{type(t.op).__name__} returned {len(chunk_lists)} chunk "
-                f"lists for {t.op.output_count} outputs"
-            )
-            # siblings the caller dropped are gone; live ones get tiled
-            # now so a later run does not tile the op a second time
-            for out in t.op.outputs:
-                out.chunks = chunk_lists[out.out_slot]
+            if t.chunks is None:
+                t.chunks = run_tile(t, ctx, execute_probe)
 
     def _invalidate(self, dag, stale: list[Tileable]) -> None:
         """Drop cached chunks of stale sources and their descendants so

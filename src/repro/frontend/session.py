@@ -76,8 +76,9 @@ class XSession:
 
     # -- introspection used by tests/benchmarks --------------------------
     @property
-    def stats(self):
-        return self.tiler.stats
+    def stats(self) -> GraphTiler:
+        """The tiler, whose ``yields`` counts this session's probe runs."""
+        return self.tiler
 
 
 def init(

@@ -115,8 +115,8 @@ random = _Random()
 class _Linalg:
     @staticmethod
     def qr(a: Tensor) -> tuple[Tensor, Tensor]:
-        op = tops.TensorQR()
-        q_t, r_t = op.new_tileables([a._t], [{"kind": "tensor"}, {"kind": "tensor"}])
+        q_t = tops.TensorQR().new_tileable([a._t], kind="tensor")
+        r_t = tops.TensorQRR().new_tileable([q_t], kind="tensor")
         return Tensor(q_t, a._session), Tensor(r_t, a._session)
 
 

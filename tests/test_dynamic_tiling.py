@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.config import EngineConfig
+from repro.core.graph import build_dag
 from repro.frontend import dataframe as xpd
 from repro.frontend.session import XSession
 
@@ -14,6 +15,13 @@ def session(**kw):
     defaults = dict(chunk_limit=20_000, n_workers=2, bands_per_worker=2)
     defaults.update(kw)
     return XSession(EngineConfig(**defaults))
+
+
+def decisions(*frames):
+    """The decisions recorded on the frames' tileable graphs, in tiling
+    order."""
+    dag = build_dag([f._t for f in frames])
+    return [t.decision for t in dag.topological_order() if t.decision]
 
 
 def skewed(n=4000, hot_frac=0.7, seed=0):
@@ -90,35 +98,36 @@ class TestAutoReduceSelection:
     def test_low_cardinality_tree(self):
         sess = session(tree_reduce_threshold=1 << 20)
         pdf = pd.DataFrame({"k": np.arange(5000) % 3, "v": np.random.rand(5000)})
-        df = xpd.from_pandas(pdf, sess)
-        res = df.groupby("k").agg({"v": "sum"}).to_pandas()
-        assert list(sess.stats.reduce_choices.values()) == ["tree"]
+        agg = xpd.from_pandas(pdf, sess).groupby("k").agg({"v": "sum"})
+        res = agg.to_pandas()
+        assert decisions(agg) == ["tree"]
         exp = pdf.groupby("k").agg({"v": "sum"})
         pd.testing.assert_frame_equal(res.sort_index(), exp, check_dtype=False)
 
     def test_high_cardinality_shuffle(self):
         sess = session(tree_reduce_threshold=2_000, chunk_limit=20_000)
         pdf = pd.DataFrame({"k": np.arange(8000), "v": np.random.rand(8000)})
-        df = xpd.from_pandas(pdf, sess)
-        res = df.groupby("k").agg({"v": "sum"}).to_pandas()
-        assert list(sess.stats.reduce_choices.values()) == ["shuffle"]
+        agg = xpd.from_pandas(pdf, sess).groupby("k").agg({"v": "sum"})
+        res = agg.to_pandas()
+        assert decisions(agg) == ["shuffle"]
         assert len(res) == 8000
 
     def test_same_key_groupbys_keep_two_records(self):
         sess = session()
         pdf = pd.DataFrame({"k": np.arange(5000) % 5, "v": np.random.rand(5000)})
         df = xpd.from_pandas(pdf, sess)
-        sums = df.groupby("k").agg({"v": "sum"}).to_pandas()
-        means = df.groupby("k").agg({"v": "mean"}).to_pandas()
-        assert len(sums) == len(means) == 5
-        assert list(sess.stats.reduce_choices.values()) == ["tree"] * 2
+        sums = df.groupby("k").agg({"v": "sum"})
+        means = df.groupby("k").agg({"v": "mean"})
+        assert len(sums.to_pandas()) == len(means.to_pandas()) == 5
+        assert decisions(sums, means) == ["tree"] * 2
 
     def test_probe_executions_counted(self):
         sess = session()
         pdf = pd.DataFrame({"k": np.arange(5000) % 5, "v": np.random.rand(5000)})
-        xpd.from_pandas(pdf, sess).groupby("k").agg({"v": "mean"}).to_pandas()
-        assert sess.stats.probe_executions > 0
+        src = xpd.from_pandas(pdf, sess)
+        src.groupby("k").agg({"v": "mean"}).to_pandas()
         assert sess.stats.yields > 0
+        assert src._t.chunks[0].meta.observed  # the probe ran
 
 
 class TestMergeSelection:
@@ -126,27 +135,19 @@ class TestMergeSelection:
         sess = session(broadcast_threshold=50_000)
         big = pd.DataFrame({"k": np.arange(5000) % 50, "v": np.random.rand(5000)})
         small = pd.DataFrame({"k": np.arange(50), "w": np.random.rand(50)})
-        out = (
-            xpd.from_pandas(big, sess)
-            .merge(xpd.from_pandas(small, sess), on="k")
-            .to_pandas()
-        )
-        assert list(sess.stats.merge_choices.values()) == ["broadcast"]
-        assert len(out) == 5000
+        out = xpd.from_pandas(big, sess).merge(xpd.from_pandas(small, sess), on="k")
+        assert len(out.to_pandas()) == 5000
+        assert decisions(out) == ["broadcast"]
 
     def test_two_big_sides_shuffle(self):
         sess = session(broadcast_threshold=1_000, chunk_limit=10_000)
         a = pd.DataFrame({"k": np.arange(4000) % 1000, "v": np.random.rand(4000)})
         b = pd.DataFrame({"k": np.arange(4000) % 1000, "w": np.random.rand(4000)})
-        out = (
-            xpd.from_pandas(a, sess)
-            .merge(xpd.from_pandas(b, sess), on="k")
-            .to_pandas()
-        )
-        choice = list(sess.stats.merge_choices.values())[0]
-        assert choice in ("shuffle", "skew")
+        out = xpd.from_pandas(a, sess).merge(xpd.from_pandas(b, sess), on="k")
+        got = out.to_pandas()
+        assert out._t.decision in ("shuffle", "skew")
         exp = a.merge(b, on="k")
-        assert len(out) == len(exp)
+        assert len(got) == len(exp)
 
     def test_skew_detected_and_correct(self):
         sess = session(broadcast_threshold=100, chunk_limit=8_000,
@@ -154,12 +155,9 @@ class TestMergeSelection:
         left = skewed(6000)
         right = pd.DataFrame({"k": np.arange(500), "w": np.random.rand(500)})
         # force the shuffle path (right exceeds broadcast threshold)
-        out = (
-            xpd.from_pandas(left, sess)
-            .merge(xpd.from_pandas(right, sess), on="k")
-            .to_pandas()
-        )
-        assert list(sess.stats.merge_choices.values()) == ["skew"]
+        merged = xpd.from_pandas(left, sess).merge(xpd.from_pandas(right, sess), on="k")
+        out = merged.to_pandas()
+        assert decisions(merged) == ["skew"]
         exp = left.merge(right, on="k")
         assert len(out) == len(exp)
         assert abs(out["v"].sum() - exp["v"].sum()) < 1e-6
@@ -189,15 +187,14 @@ class TestMergeSelection:
             xpd.from_pandas(big, sess)
             .merge(xpd.from_pandas(a, sess), on="k")
             .merge(xpd.from_pandas(b, sess), on="k")
-            .to_pandas()
         )
-        assert len(out) == 5000
-        assert list(sess.stats.merge_choices.values()) == ["broadcast"] * 2
+        assert len(out.to_pandas()) == 5000
+        assert decisions(out) == ["broadcast"] * 2
 
     def test_source_hints_are_not_observations(self, monkeypatch):
-        """``from_pandas`` chunks know their exact size at tile time, but
-        only as a hint: the merge still probes them, so hot-key detection
-        sees their payloads."""
+        """``from_pandas`` chunks know their shape at tile time, but only
+        as a hint, and are not sized until they run: the merge still
+        probes them, so hot-key detection sees their payloads."""
         from repro.core.operators import dataframe as ops
 
         sess = session(broadcast_threshold=100, chunk_limit=8_000,
@@ -218,21 +215,57 @@ class TestMergeSelection:
         out.execute()
         k = ops.PROBE_CHUNKS
         sources = lf._t.chunks + rf._t.chunks
-        assert all(c.meta.nbytes for c in sources)
+        assert all(c.meta.shape for c in sources)
         assert [c.meta.observed for c in lf._t.chunks] == (
             [True] * k + [False] * (len(lf._t.chunks) - k))
+        assert all(c.meta.nbytes is None for c in sources if not c.meta.observed)
         assert seen and all(seen)
-        assert list(sess.stats.merge_choices.values()) == ["skew"]
+        assert decisions(out) == ["skew"]
 
     def test_static_merge_correct_but_unprotected(self):
         sess = session(dynamic_tiling=False, chunk_limit=8_000)
         left = skewed(4000)
         right = pd.DataFrame({"k": np.arange(500), "w": np.random.rand(500)})
-        out = (
-            xpd.from_pandas(left, sess)
-            .merge(xpd.from_pandas(right, sess), on="k")
-            .to_pandas()
-        )
+        merged = xpd.from_pandas(left, sess).merge(xpd.from_pandas(right, sess), on="k")
+        out = merged.to_pandas()
         exp = left.merge(right, on="k")
         assert len(out) == len(exp)
-        assert sess.stats.merge_choices == {}  # no dynamic decision made
+        assert decisions(merged) == []  # no dynamic decision made
+
+
+class TestDecisionLifetime:
+    def test_repeated_query_leaves_tiler_state_flat(self):
+        """A decision lives on its query's tileable: running the same
+        merge+groupby 20 times in one session grows no state on the
+        tiler, and each query's graph is freed with its handle."""
+        import weakref
+
+        def entries(obj, depth=0):
+            """Container entries an object holds, down through plain
+            objects (the executor it drives is not tiler state)."""
+            n = 0
+            for name, v in vars(obj).items():
+                if name in ("executor", "cfg"):
+                    continue
+                if isinstance(v, (dict, list, set, tuple)):
+                    n += len(v)
+                elif hasattr(v, "__dict__") and depth < 2:
+                    n += entries(v, depth + 1)
+            return n
+
+        sess = session(broadcast_threshold=50_000)
+        g = np.random.default_rng(0)
+        big = xpd.from_pandas(pd.DataFrame({"k": g.integers(0, 50, 5000),
+                                            "v": g.random(5000)}), sess)
+        small = xpd.from_pandas(pd.DataFrame({"k": np.arange(50),
+                                              "g": np.arange(50) % 7}), sess)
+        sizes, graphs = [], []
+        for _ in range(20):
+            out = big.merge(small, on="k").groupby("g").agg({"v": "sum"})
+            assert len(out.to_pandas()) == 7
+            graphs.append(weakref.ref(out._t))
+            del out
+            sizes.append(entries(sess.tiler))
+        assert sizes == [sizes[0]] * 20
+        assert all(ref() is None for ref in graphs)
+        sess.close()

@@ -105,24 +105,19 @@ class TestTSQR:
         _, r_ref = np.linalg.qr(a_np)
         np.testing.assert_allclose(np.abs(r.to_numpy()), np.abs(r_ref), atol=1e-8)
 
-    def test_sibling_output_tiled_once(self, sess, a_np):
-        """Running Q tiles the op once and gives R its chunks too, so
-        running R later re-tiles nothing."""
+    def test_r_reads_the_stack_of_q(self, sess, a_np):
+        """R is one op over Q's tileable: its one chunk reads the R stack
+        that every Q chunk reads, so the TSQR is tiled once. R alone
+        still computes (Q is tiled, not run)."""
         q, r = xnp.linalg.qr(xnp.array(a_np, sess))
-        q_np = q.to_numpy()
-        r_chunks = r._t.chunks
-        assert r_chunks is not None
         r_np = r.to_numpy()
-        assert r._t.chunks is r_chunks
-        np.testing.assert_allclose(q_np @ r_np, a_np, atol=1e-10)
-
-    def test_dropped_sibling_output(self, sess, a_np):
-        """With Q dropped before R runs, the op keeps no Q to tile."""
-        t = xnp.array(a_np, sess)
-        r = xnp.linalg.qr(t)[1]
-        assert r._t.op.outputs == [r._t]
+        assert r._t.inputs == [q._t]
+        (r_chunk,) = r._t.chunks
+        stacks = {c.inputs[1] for c in q._t.chunks}
+        assert len(q._t.chunks) > 1 and stacks == {r_chunk.inputs[0]}
         _, r_ref = np.linalg.qr(a_np)
-        np.testing.assert_allclose(np.abs(r.to_numpy()), np.abs(r_ref), atol=1e-8)
+        np.testing.assert_allclose(np.abs(r_np), np.abs(r_ref), atol=1e-8)
+        np.testing.assert_allclose(q.to_numpy() @ r_np, a_np, atol=1e-10)
 
     def test_qr_of_broadcast_row_plus_matrix(self):
         """QR trusts its input's shape hints, so a row broadcast on the

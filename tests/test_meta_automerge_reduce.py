@@ -97,7 +97,7 @@ def _tree_shape(op, n, cfg):
     the tuple of its inputs. Also return the number of nodes built."""
     sources = [chunk() for _ in range(n)]
     t = SimpleNamespace(op=op, inputs=[SimpleNamespace(chunks=sources)], key="t")
-    [[root]] = run_tile(t, TileContext(cfg), None)
+    [root] = run_tile(t, TileContext(cfg), None)
     built = set()
 
     def shape(c):
@@ -167,10 +167,10 @@ class TestTreeTerminates:
                             "s": g.integers(0, 5, 4_000), "v": g.random(4_000)})
         sess = XSession(EngineConfig(chunk_limit=16_000))
         try:
+            agg = xpd.from_pandas(pdf, sess).groupby(["k", "s"]).agg({"v": "mean"})
             with deadline(60):
-                got = xpd.from_pandas(pdf, sess).groupby(["k", "s"]).agg(
-                    {"v": "mean"}).to_pandas()
-            assert "tree" in sess.stats.reduce_choices.values()
+                got = agg.to_pandas()
+            assert agg._t.decision == "tree"
         finally:
             sess.close()
         pd.testing.assert_frame_equal(got, pdf.groupby(["k", "s"]).agg({"v": "mean"}))

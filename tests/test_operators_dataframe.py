@@ -249,14 +249,15 @@ class TestCompositeHotKeys:
         return list(kv.value_counts().head(20).index)
 
     def test_hot_keys_match_tuple_path(self):
-        from repro.core.chunk import ChunkMeta, ChunkNode
+        from repro.core.chunk import ChunkMeta, ChunkNode, payload_nbytes
         from repro.core.config import EngineConfig
         from repro.core.operators.base import TileContext
         from repro.storage.service import StorageService
 
         df = self.tied_frame()
         chunk = ChunkNode(op=None, inputs=[],
-                          meta=ChunkMeta.from_payload(df, observed=True))
+                          meta=ChunkMeta.from_payload(df, nbytes=payload_nbytes(df),
+                                                     observed=True))
         storage = StorageService()
         storage.put(chunk.key, df)
         # any key seen 40 times in the (only) probed chunk is hot

@@ -35,9 +35,10 @@ class TestPipelines:
         eng = XorbitsEngine(band_budget=None, chunk_limit=64_000)
         res = eng.run_query(p.fn, p.tables_fn(PIPE_SF), name="uc10")
         assert res.outcome is Outcome.OK
-        # session is closed, but the choice was recorded before cleanup
-        # (re-run with a kept session to observe)
+        # the engine returns a pandas frame; re-run lazily to read the
+        # decision off the query's tileables
         from repro.core.config import EngineConfig
+        from repro.core.graph import build_dag
         from repro.frontend import dataframe as xpd
         from repro.frontend.session import XSession
 
@@ -45,8 +46,10 @@ class TestPipelines:
                                      broadcast_threshold=1 << 20))
         tables = {k: xpd.from_pandas(v, sess)
                   for k, v in p.tables_fn(PIPE_SF).items()}
-        p.fn(tables).to_pandas()
-        assert "broadcast" in sess.stats.merge_choices.values()
+        out = p.fn(tables)
+        out.to_pandas()
+        dag = build_dag([out._t])
+        assert "broadcast" in [t.decision for t in dag.topological_order()]
         sess.close()
 
 

@@ -87,7 +87,7 @@ class TestIncrementalInvalidation:
         df = xpd.from_pandas(frame, sess)
         total = df["b"].sum()  # prunes the source down to {b}
         assert abs(total - frame["b"].sum()) < 1e-9
-        assert df._t.op.pruned_columns == ["b"]
+        assert df._t.op.pruned_columns == {"b"}
         # now the same lazy frame is used for a groupby needing a, c
         out = df.groupby("a").agg(m=("c", "mean")).to_pandas()
         exp = frame.groupby("a").agg(m=("c", "mean"))
@@ -98,7 +98,7 @@ class TestIncrementalInvalidation:
         df = xpd.from_pandas(pdf(), sess)
         narrow = df[["b"]]
         sess.run(narrow._t)
-        assert df._t.op.pruned_columns == ["b"]
+        assert df._t.op.pruned_columns == {"b"}
         wide = df[["a", "c"]]
         dag = build_dag([wide._t])
         stale = apply_pruning(dag)

@@ -19,7 +19,7 @@ def source(payloads):
     """A tiled source tileable over ``payloads``, one chunk each."""
     t = Tileable(Operator(), [])
     t.chunks = [
-        ChunkNode(op=DataChunk(p), index=(i, 0), meta=ChunkMeta.from_payload(p))
+        ChunkNode(op=DataChunk(p), index=(i, 0), meta=ChunkMeta(shape=p.shape))
         for i, p in enumerate(payloads)
     ]
     return t
@@ -28,8 +28,7 @@ def source(payloads):
 def tile(op, *inputs):
     ctx = TileContext(EngineConfig())
     ctx.inputs = list(inputs)
-    (chunks,) = op.tile(ctx)
-    return chunks
+    return op.tile(ctx)
 
 
 def frames(n, rows=10):

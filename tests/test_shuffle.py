@@ -27,7 +27,7 @@ def sources(n, seed=0):
     for i in range(n):
         df = pd.DataFrame({"k": g.integers(0, 20, 50), "v": g.random(50)})
         out.append(ChunkNode(op=DataChunk(df), index=(i, 0),
-                             meta=ChunkMeta.from_payload(df)))
+                             meta=ChunkMeta(shape=df.shape)))
     return out
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.chunk import ChunkMeta, ChunkNode, new_key
+from repro.core.chunk import ChunkMeta, ChunkNode, new_key, payload_nbytes
 from repro.core.config import EngineConfig
 from repro.core.graph import build_dag
 from repro.core.operators.base import Operator
@@ -47,7 +47,7 @@ class TestChunkBasics:
 
     def test_meta_from_payload_dataframe(self):
         df = pd.DataFrame({"a": [1, 2], "b": ["x", "y"]})
-        m = ChunkMeta.from_payload(df)
+        m = ChunkMeta.from_payload(df, nbytes=payload_nbytes(df))
         assert m.shape == (2, 2)
         assert m.columns == ["a", "b"]
         assert m.dtypes["a"].startswith("int")

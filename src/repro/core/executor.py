@@ -4,10 +4,13 @@ Two implementations with identical semantics:
 
 * :class:`LocalExecutor` — serial, in-process; used by unit tests and
   by the baseline engine simulators (fast, no serialisation).
-* :class:`SparkExecutor` — each *wave* of ready subtasks becomes one
-  Spark job: ``sc.parallelize(payload_items).map(run_subtask)``. This is
-  the layer where the paper's subtask ≈ a Spark task (DESIGN.md § 2);
-  everything above (tiling, fusion, scheduling) is identical.
+* :class:`SparkExecutor` — a *wave* of two or more ready subtasks
+  whose input is at least one chunk (``cfg.chunk_limit``) becomes one
+  Spark job: ``sc.parallelize(payload_items).map(run_subtask)``, one
+  task per subtask. This is the layer where the paper's subtask ≈ a
+  Spark task (DESIGN.md § 2); a smaller wave is one chunk's work under
+  auto merge and, like a single subtask, runs in-process. Everything
+  above (tiling, fusion, scheduling) is identical.
 
 Both meter **real bytes** of **real pandas/NumPy payloads** against
 per-band budgets; exceeding a budget raises
@@ -21,7 +24,7 @@ chunk's node, where the resumed ``tile`` generators read it.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple, Optional
 
 from repro.storage.service import StorageService
 
@@ -114,7 +117,9 @@ class SubtaskSpec:
     member chunks as :class:`TaskChunk`s (ops plus input keys), the keys
     of its external inputs and of the outputs to store, and the bucket
     ``reducer`` it reads from each shuffle input. Source chunks fused
-    into the subtask still carry their data in their op."""
+    into the subtask still carry their data in their op;
+    ``source_nbytes`` is the sum of their tile-time size hints, the part
+    of the subtask's input that arrives inside its ops."""
 
     def __init__(self, subtask: Subtask, store_keys: list[str]) -> None:
         self.key = subtask.key
@@ -125,6 +130,8 @@ class SubtaskSpec:
         self.input_keys = subtask.input_keys
         self.store_keys = store_keys
         self.band = subtask.band
+        self.source_nbytes = sum(c.meta.nbytes or 0
+                                 for c in subtask.chunks if not c.inputs)
         # the bucket it reads from each shuffle input; reducers never fuse
         # in, so a subtask holds at most one
         self.reducer = next((c.op.reducer for c in self.chunks
@@ -285,6 +292,13 @@ class BaseExecutor:
         for spec in specs:
             yield run_subtask(spec, *self._gather(spec))
 
+    def _input_key(self, spec: SubtaskSpec, k: str) -> Optional[str]:
+        """The storage key ``spec`` reads for its input ``k``: ``k`` itself,
+        or for a shuffle input the mapper's bucket ``spec.reducer``;
+        ``None`` when the mapper stored no such bucket."""
+        mapped = self.buckets.get(k)
+        return k if mapped is None else mapped.get(spec.reducer)
+
     def _gather(self, spec: SubtaskSpec) -> tuple[dict[str, Any], dict[str, int]]:
         """Input payloads and their stored sizes. A shuffle input is one
         block: the mapper's bucket ``spec.reducer``, or its zero-row
@@ -292,10 +306,9 @@ class BaseExecutor:
         inputs: dict[str, Any] = {}
         sizes: dict[str, int] = {}
         for k in spec.input_keys:
-            mapped = self.buckets.get(k)
-            key = k if mapped is None else mapped.get(spec.reducer)
+            key = self._input_key(spec, k)
             if key is None:
-                inputs[k], sizes[k] = mapped.empty, 0
+                inputs[k], sizes[k] = self.buckets[k].empty, 0
             else:
                 inputs[k] = self.storage.get(key)
                 sizes[k] = self.storage.nbytes_of(key)
@@ -332,25 +345,37 @@ class BaseExecutor:
 class LocalExecutor(BaseExecutor):
     """In-process, serial executor.
 
-    pandas kernels rarely release the GIL, and under sandboxed kernels
-    (gVisor) contended futexes are so slow that a thread pool can be
-    100× *slower* than serial execution — measured, not hypothetical.
-    Bands still drive scheduling and memory metering; wall-clock
-    parallelism comes from :class:`SparkExecutor` (real processes).
+    pandas kernels hold the GIL for most of their run, so threads do not
+    overlap them: a 4-thread pool over each wave made a ``tpch_static``
+    pass 1.7× *slower* than serial execution on a 4-vCPU VM (median
+    8.1 s against 4.7 s over 8 passes each) — measured, not
+    hypothetical. Bands still drive scheduling and memory metering;
+    wall-clock parallelism comes from :class:`SparkExecutor` (real
+    processes).
     """
 
 
 class SparkExecutor(BaseExecutor):
-    """Wave-per-Spark-job executor over ``sc.parallelize`` (RDD layer —
-    justification in DESIGN.md § 2)."""
+    """Executor that runs a wave of two or more subtasks as one Spark job
+    over ``sc.parallelize`` (RDD layer — justification in DESIGN.md § 2)
+    when its input is at least one chunk, and in-process otherwise."""
 
     def __init__(self, spark, cfg, storage) -> None:
         super().__init__(cfg, storage)
         self.spark = spark
 
+    def _input_nbytes(self, spec: SubtaskSpec) -> int:
+        """Bytes ``spec`` reads: the stored size of each block ``_gather``
+        would fetch (without fetching it), plus its sources' size hints."""
+        keys = (self._input_key(spec, k) for k in spec.input_keys)
+        return spec.source_nbytes + sum(
+            self.storage.nbytes_of(k) for k in keys if k is not None)
+
     def _run_specs(self, specs: list[SubtaskSpec]) -> Iterator[tuple]:
-        if len(specs) == 1:
-            # avoid job overhead for singleton waves (common: final agg)
+        if (len(specs) == 1 or sum(map(self._input_nbytes, specs))
+                < self.cfg.chunk_limit):
+            # one subtask, or one chunk's work (auto merge's unit): no
+            # parallelism that pays for a job's 0.2–1 s
             return super()._run_specs(specs)
         # One partition per subtask: each Spark task deserialises only its
         # own spec + input payloads.

@@ -51,14 +51,16 @@ ALGEBRAIC_FUNCS = {"sum", "count", "min", "max", "mean", "size"}
 PROBE_CHUNKS = 2
 
 
-def split_pandas(pdf: pd.DataFrame, max_bytes: int) -> list[pd.DataFrame]:
+def split_pandas(pdf: pd.DataFrame,
+                 max_bytes: int) -> tuple[list[pd.DataFrame], int]:
     """Row-split ``pdf`` into pieces of at most ~``max_bytes`` each; a
-    zero-row frame is one zero-row piece, which keeps its schema."""
+    zero-row frame is one zero-row piece, which keeps its schema.
+    Returns the pieces and ``pdf``'s metered size."""
     total = payload_nbytes(pdf)
     n = max(1, math.ceil(total / max(1, max_bytes)))
     n = min(n, max(1, len(pdf)))
     bounds = np.linspace(0, len(pdf), n + 1).astype(int)
-    return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], total
 
 
 def _empty_like(pdf):
@@ -175,18 +177,17 @@ class FromPandas(Operator):
             pdf = pdf[[c for c in pdf.columns if c in self.pruned_columns]]
         limit = ctx.cfg.chunk_limit
         if isinstance(pdf, pd.Series):
-            pieces = [
-                p["__s__"].rename(pdf.name)
-                for p in split_pandas(pdf.to_frame("__s__"), limit)
-            ]
+            pieces, total = split_pandas(pdf.to_frame("__s__"), limit)
+            pieces = [p["__s__"].rename(pdf.name) for p in pieces]
         else:
-            pieces = split_pandas(pdf, limit)
-        chunks = [
+            pieces, total = split_pandas(pdf, limit)
+        # each piece's size hint is its row share of the metered total
+        rows = max(1, len(pdf))
+        return [
             ChunkNode(op=DataChunk(p), inputs=[], index=(i, 0),
-                      meta=ChunkMeta(shape=p.shape))
+                      meta=ChunkMeta(shape=p.shape, nbytes=total * len(p) // rows))
             for i, p in enumerate(pieces)
         ]
-        return chunks
 
     def required_input_columns(self, required_out):
         return []

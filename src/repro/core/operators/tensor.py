@@ -46,12 +46,12 @@ class TensorSource(Operator):
 
     def tile(self, ctx: TileContext):
         slices = _tile_rows(self.arr.shape, self.arr.itemsize, ctx.cfg)
-        chunks = [
-            ChunkNode(op=DataChunk(self.arr[lo:hi]), inputs=[], index=(i, 0),
-                      meta=ChunkMeta(shape=(hi - lo,) + self.arr.shape[1:]))
-            for i, (lo, hi) in enumerate(slices)
+        blocks = [self.arr[lo:hi] for lo, hi in slices]
+        return [
+            ChunkNode(op=DataChunk(b), inputs=[], index=(i, 0),
+                      meta=ChunkMeta(shape=b.shape, nbytes=b.nbytes))
+            for i, b in enumerate(blocks)
         ]
-        return chunks
 
 
 class TensorRandom(Operator):

@@ -7,6 +7,7 @@ arrays (vs. Dask's mandatory ``rechunk`` in Listing 1).
 """
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,17 +19,25 @@ from .session import XSession, get_session
 
 
 class Tensor:
-    """Lazy distributed ndarray."""
+    """Lazy distributed ndarray.
+
+    ``_peer`` weakly references a handle that shares this one's graph
+    (Q's R, R's Q); whichever is fetched first runs the other with it
+    while it is alive, so their common chunks run once."""
 
     def __init__(self, tileable: Tileable, session: Optional[XSession] = None) -> None:
         self._t = tileable
         self._session = session or get_session()
         self._cache: Optional[np.ndarray] = None
+        self._peer: Optional[weakref.ref] = None
 
     # -- deferred evaluation -------------------------------------------
     def execute(self) -> "Tensor":
         if self._cache is None:
-            (self._cache,) = self._session.run(self._t)
+            peer = self._peer and self._peer()
+            batch = [self] if peer is None or peer._cache is not None else [self, peer]
+            for t, value in zip(batch, self._session.run(*(t._t for t in batch))):
+                t._cache = value
         return self
 
     def to_numpy(self) -> np.ndarray:
@@ -117,7 +126,9 @@ class _Linalg:
     def qr(a: Tensor) -> tuple[Tensor, Tensor]:
         q_t = tops.TensorQR().new_tileable([a._t], kind="tensor")
         r_t = tops.TensorQRR().new_tileable([q_t], kind="tensor")
-        return Tensor(q_t, a._session), Tensor(r_t, a._session)
+        q, r = Tensor(q_t, a._session), Tensor(r_t, a._session)
+        q._peer, r._peer = weakref.ref(r), weakref.ref(q)
+        return q, r
 
 
 linalg = _Linalg()

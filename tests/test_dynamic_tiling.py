@@ -192,9 +192,10 @@ class TestMergeSelection:
         assert decisions(out) == ["broadcast"] * 2
 
     def test_source_hints_are_not_observations(self, monkeypatch):
-        """``from_pandas`` chunks know their shape at tile time, but only
-        as a hint, and are not sized until they run: the merge still
+        """``from_pandas`` chunks know their shape and size at tile time,
+        but only as hints, which size estimates ignore: the merge still
         probes them, so hot-key detection sees their payloads."""
+        from repro.core.chunk import estimate_nbytes
         from repro.core.operators import dataframe as ops
 
         sess = session(broadcast_threshold=100, chunk_limit=8_000,
@@ -218,9 +219,35 @@ class TestMergeSelection:
         assert all(c.meta.shape for c in sources)
         assert [c.meta.observed for c in lf._t.chunks] == (
             [True] * k + [False] * (len(lf._t.chunks) - k))
-        assert all(c.meta.nbytes is None for c in sources if not c.meta.observed)
+        hinted = [c for c in sources if not c.meta.observed]
+        assert hinted and all(c.meta.nbytes > 0 for c in hinted)
+        assert estimate_nbytes(hinted) is None
         assert seen and all(seen)
         assert decisions(out) == ["skew"]
+
+    def test_no_source_chunk_reaches_auto_merge(self, monkeypatch):
+        """Auto merge packs chunks by ``meta.nbytes``, hints included, so
+        a source's size hint must never reach it: every tree it builds
+        starts from map nodes."""
+        from repro.core import automerge
+        from repro.frontend import tensor as xnp
+
+        levels = []
+        plan = automerge.plan_merge_groups
+
+        def recording_plan(ctx, chunks, max_group):
+            levels.append([not c.inputs for c in chunks])
+            return plan(ctx, chunks, max_group)
+
+        monkeypatch.setattr(automerge, "plan_merge_groups", recording_plan)
+        sess = session(chunk_limit=4_000)
+        pdf = skewed(3000)
+        df = xpd.from_pandas(pdf, sess)
+        assert len(df.groupby("k").agg({"v": "sum"}).to_pandas()) == pdf["k"].nunique()
+        assert len(df.drop_duplicates().to_pandas()) == len(pdf.drop_duplicates())
+        arr = np.arange(4000.0)
+        assert xnp.array(arr, sess).sum() == arr.sum()
+        assert levels and not any(any(level) for level in levels)
 
     def test_static_merge_correct_but_unprotected(self):
         sess = session(dynamic_tiling=False, chunk_limit=8_000)

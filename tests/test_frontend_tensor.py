@@ -107,8 +107,8 @@ class TestTSQR:
 
     def test_r_reads_the_stack_of_q(self, sess, a_np):
         """R is one op over Q's tileable: its one chunk reads the R stack
-        that every Q chunk reads, so the TSQR is tiled once. R alone
-        still computes (Q is tiled, not run)."""
+        that every Q chunk reads, so the TSQR is tiled once. Fetching R
+        first still computes it (and Q with it, while Q's handle lives)."""
         q, r = xnp.linalg.qr(xnp.array(a_np, sess))
         r_np = r.to_numpy()
         assert r._t.inputs == [q._t]
@@ -118,6 +118,30 @@ class TestTSQR:
         _, r_ref = np.linalg.qr(a_np)
         np.testing.assert_allclose(np.abs(r_np), np.abs(r_ref), atol=1e-8)
         np.testing.assert_allclose(q.to_numpy() @ r_np, a_np, atol=1e-10)
+
+    def test_q_then_r_runs_each_local_qr_once(self, sess, monkeypatch):
+        """Fetching Q runs R with it while R's handle is alive, so
+        fetching R next runs nothing: one local QR per input chunk."""
+        from repro.core.operators import tensor as tops
+
+        calls = []
+
+        def counting_qr_map(a):
+            calls.append(len(a))
+            return np.linalg.qr(a)
+
+        monkeypatch.setattr(tops, "_qr_map", counting_qr_map)
+        a_np = np.random.default_rng(3).random((10_000, 8))
+        t = xnp.array(a_np, sess)
+        q, r = xnp.linalg.qr(t)
+        q_np, r_np = q.to_numpy(), r.to_numpy()
+        assert len(t._t.chunks) == 10
+        assert len(calls) == 10
+        np.testing.assert_allclose(q_np @ r_np, a_np, atol=1e-10)
+        # with Q's handle dropped, R runs alone
+        r_alone = xnp.linalg.qr(t)[1].to_numpy()
+        assert len(calls) == 20
+        np.testing.assert_allclose(r_alone, r_np)
 
     def test_qr_of_broadcast_row_plus_matrix(self):
         """QR trusts its input's shape hints, so a row broadcast on the

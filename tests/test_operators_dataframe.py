@@ -38,17 +38,18 @@ def _owner(arr):
 class TestSplitPandas:
     def test_splits_cover_rows(self):
         df = frame(1000)
-        parts = split_pandas(df, 4096)
+        parts, total = split_pandas(df, 4096)
+        assert total == df.memory_usage(index=True).sum()
         assert sum(len(p) for p in parts) == 1000
         assert len(parts) > 1
 
     def test_single_part_when_fits(self):
         df = frame(10)
-        assert len(split_pandas(df, 1 << 30)) == 1
+        assert len(split_pandas(df, 1 << 30)[0]) == 1
 
     def test_never_more_parts_than_rows(self):
         df = frame(3)
-        assert len(split_pandas(df, 1)) <= 3
+        assert len(split_pandas(df, 1)[0]) <= 3
 
 
 class TestHashPartition:

@@ -1,5 +1,8 @@
 """SparkExecutor: the subtask-per-Spark-task execution path
 (DESIGN.md § 2 — the paper's subtask ≈ a Spark task)."""
+import gc
+import time
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -62,3 +65,112 @@ def test_spark_wave_parallelism_used(spark_sess):
     got = df.assign(y=df["x"] * 2).to_pandas()
     assert (got["y"].to_numpy() == pdf["x"].to_numpy() * 2).all()
     assert spark_sess.executor.tasks_executed >= 2
+
+
+# -- which waves become Spark jobs ---------------------------------------
+
+_LEFT = pd.DataFrame({"k": np.random.default_rng(3).integers(0, 50, 4000),
+                      "v": np.random.default_rng(4).random(4000)})  # ~64 KB
+_RIGHT = pd.DataFrame({"k": np.arange(50), "w": np.arange(50.0)})
+
+
+def _merge_groupby(sess) -> pd.DataFrame:
+    """Shuffle merge, then groupby: probes and shuffles make several
+    multi-subtask waves."""
+    lf, rf = xpd.from_pandas(_LEFT, sess), xpd.from_pandas(_RIGHT, sess)
+    out = lf.merge(rf, on="k").groupby("k").agg({"w": "sum", "v": "mean"})
+    return out.to_pandas().sort_index()
+
+
+def _expected() -> pd.DataFrame:
+    return _LEFT.merge(_RIGHT, on="k").groupby("k").agg({"w": "sum", "v": "mean"})
+
+
+def _record_waves(sess, sized: bool = True) -> list[tuple[int, int]]:
+    """``(subtasks, input bytes)`` of every wave ``sess`` runs from now
+    on; the bytes are 0 unless ``sized``."""
+    from repro.core.executor import SparkExecutor
+
+    ex, waves = sess.executor, []
+    run_specs = ex._run_specs
+
+    def recording(specs):
+        waves.append((len(specs), sized and sum(
+            SparkExecutor._input_nbytes(ex, s) for s in specs)))
+        return run_specs(specs)
+
+    ex._run_specs = recording
+    return waves
+
+
+def _spark_jobs_of(spark, run):
+    """``run()``'s result and the ids of the Spark jobs it started. The
+    status tracker learns of jobs asynchronously, in order, so the ids
+    are read once it has seen a sentinel job started after ``run``."""
+    sc = spark.sparkContext
+    group = f"gate-{id(run)}"
+    sc.setJobGroup(group, "measured")
+    try:
+        result = run()
+        sc.setJobGroup(group + "-end", "sentinel")
+        sc.parallelize([0], 1).count()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    tracker = sc.statusTracker()
+    for _ in range(600):
+        if tracker.getJobIdsForGroup(group + "-end"):
+            break
+        time.sleep(0.05)
+    else:
+        raise TimeoutError("the sentinel job never reached the status tracker")
+    return result, tracker.getJobIdsForGroup(group)
+
+
+def _session(spark, chunk_limit, **kw):
+    return XSession(EngineConfig(chunk_limit=chunk_limit, broadcast_threshold=0,
+                                 n_workers=2, **kw), spark=spark)
+
+
+def test_wave_within_one_chunk_starts_no_spark_job(spark):
+    sess = _session(spark, chunk_limit=1 << 20)  # above the whole input
+    waves = _record_waves(sess, sized=False)
+    got, jobs = _spark_jobs_of(spark, lambda: _merge_groupby(sess))
+    assert any(n > 1 for n, _ in waves)
+    assert jobs == []
+    pd.testing.assert_frame_equal(got, _expected(), check_dtype=False)
+    sess.close()
+
+
+def test_each_wave_above_one_chunk_is_one_spark_job(spark):
+    sess = _session(spark, chunk_limit=16_000)
+    waves = _record_waves(sess)
+    got, jobs = _spark_jobs_of(spark, lambda: _merge_groupby(sess))
+    multi = [nbytes for n, nbytes in waves if n > 1]
+    assert len(multi) >= 3 and all(nbytes >= 16_000 for nbytes in multi)
+    assert len(jobs) == len(multi)
+    pd.testing.assert_frame_equal(got, _expected(), check_dtype=False)
+    sess.close()
+
+
+def test_shipped_and_in_process_waves_match_local_executor(spark):
+    """At this chunk limit some multi-subtask waves ship and one does
+    not; the result, every band's peak and the final store match a
+    LocalExecutor's."""
+    limit = 8_000
+    spark_sess = _session(spark, limit, band_memory_limit=1 << 30)
+    local_sess = _session(None, limit, band_memory_limit=1 << 30)
+    waves = _record_waves(spark_sess)
+    got = _merge_groupby(spark_sess)
+    multi = [nbytes for n, nbytes in waves if n > 1]
+    assert any(b < limit for b in multi) and any(b >= limit for b in multi)
+    pd.testing.assert_frame_equal(got, _merge_groupby(local_sess))
+    pd.testing.assert_frame_equal(got, _expected(), check_dtype=False)
+
+    def peaks(sess):
+        return {band: u.peak for band, u in sess.storage.bands.items()}
+
+    assert peaks(spark_sess) == peaks(local_sess) and peaks(local_sess)
+    gc.collect()
+    assert spark_sess.storage.keys() == [] == local_sess.storage.keys()
+    spark_sess.close()
+    local_sess.close()

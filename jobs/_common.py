@@ -20,6 +20,8 @@ def get_spark(app: str):
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        # no "[Stage n:>" progress bars in the tables a job prints
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
 

@@ -218,19 +218,8 @@ class BaseExecutor:
         """The chunk graph still to run: walk back from the targets,
         stopping at stored chunks, so an already-materialised result
         never recomputes its ancestors."""
-        dag = build_dag(target_chunks)
-        needed: set[str] = set()
-        stack = [c for c in target_chunks if not self._stored(c.key)]
-        while stack:
-            c = stack.pop()
-            if c.key in needed:
-                continue
-            needed.add(c.key)
-            stack.extend(
-                i for i in c.inputs
-                if not self._stored(i.key) and i.key not in needed
-            )
-        pending = [c for c in dag.topological_order() if c.key in needed]
+        dag = build_dag(target_chunks, lambda c: self._stored(c.key))
+        pending = [c for c in dag.topological_order() if not self._stored(c.key)]
         if self.cfg.max_tasks is not None and len(pending) > self.cfg.max_tasks:
             raise SimulatedHang(
                 f"task graph of {len(pending)} nodes exceeds scheduler "

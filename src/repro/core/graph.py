@@ -8,7 +8,7 @@ topological utilities the tiler, optimizer, and scheduler need.
 from __future__ import annotations
 
 from collections import deque
-from typing import Generic, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, Iterator, TypeVar
 
 N = TypeVar("N", bound=Hashable)
 
@@ -100,11 +100,14 @@ class DAG(Generic[N]):
         return g
 
 
-def build_dag(targets: Iterable[N]) -> DAG[N]:
+def build_dag(targets: Iterable[N],
+              done: Callable[[N], bool] = lambda n: False) -> DAG[N]:
     """The DAG of ``targets`` and everything upstream of them, with an
     edge from each of a node's ``inputs`` to it: the tileable graph of
     some tileables, or the chunk graph of some chunks. Nodes are told
-    apart by ``key``."""
+    apart by ``key``. The walk stops at a node for which ``done`` holds:
+    it is in the DAG, but its inputs are not (an already-tiled tileable,
+    a stored chunk)."""
     dag: DAG[N] = DAG()
     stack = list(targets)
     seen: set[str] = set()
@@ -114,6 +117,8 @@ def build_dag(targets: Iterable[N]) -> DAG[N]:
             continue
         seen.add(n.key)
         dag.add_node(n)
+        if done(n):
+            continue
         for inp in n.inputs:
             dag.add_edge(inp, n)
             stack.append(inp)

@@ -52,10 +52,14 @@ class Tileable:
     ``columns_hint`` is a planning-time hint only; authoritative
     metadata is what execution records on the chunk nodes (the whole
     point of dynamic tiling is that hints can be wrong or absent).
-    ``decision`` is the partitioning a dynamic operator picked when it
-    was tiled (``"tree"``/``"shuffle"`` for a groupby,
-    ``"broadcast"``/``"shuffle"``/``"skew"`` for a merge), so it lives
-    exactly as long as the query's graph.
+    ``chunks`` is set only while the tileable is a run's target: the
+    tiler gives every other tileable's list back when its call ends (its
+    chunk nodes stay reachable from the targets' chunks). A target has
+    every column and is stored for as long as it lives, so a later run
+    stops its walk there. ``decision`` is the partitioning a dynamic
+    operator picked when it was tiled (``"tree"``/``"shuffle"`` for a
+    groupby, ``"broadcast"``/``"shuffle"``/``"skew"`` for a merge), so it
+    lives exactly as long as the query's graph.
     """
 
     def __init__(
@@ -70,7 +74,7 @@ class Tileable:
         self.key = f"t{next(_tileable_counter)}"
         self.columns_hint = columns_hint
         self.kind = kind
-        self.chunks: Optional[list[ChunkNode]] = None  # set by the tiler
+        self.chunks: Optional[list[ChunkNode]] = None  # a run's target only
         self.decision: Optional[str] = None  # set by a dynamic op's tile
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -254,12 +258,15 @@ def shuffle(sides: Sequence[tuple[list[ChunkNode], Callable]], n: int,
 class TileContext:
     """Everything an operator's ``tile`` needs: config, the tileable
     being tiled (where a dynamic op records its ``decision``), its
-    already-tiled input tileables, and probe payloads from the storage
-    service."""
+    already-tiled input tileables, the columns this run needs of it, and
+    probe payloads from the storage service."""
 
-    def __init__(self, cfg: EngineConfig, storage: Any = None) -> None:
+    def __init__(self, cfg: EngineConfig, storage: Any = None,
+                 required: Optional[dict[str, Optional[set]]] = None) -> None:
         self.cfg = cfg
         self.storage = storage
+        # tileable key → the columns this run needs of it (absent = all)
+        self.required = required or {}
         self.tileable: Optional[Tileable] = None  # set by run_tile per op
         self.inputs: list[Tileable] = []  # set by run_tile per op
 

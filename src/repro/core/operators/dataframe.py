@@ -167,14 +167,14 @@ class FromPandas(Operator):
 
     def __init__(self, pdf: Any) -> None:
         self.pdf = pdf
-        self.pruned_columns: Optional[set] = None  # set by column pruning
 
     def tile(self, ctx: TileContext):
         pdf = self.pdf
-        if self.pruned_columns is not None and isinstance(pdf, pd.DataFrame):
+        keep = ctx.required.get(ctx.tileable.key)
+        if keep is not None and isinstance(pdf, pd.DataFrame):
             # the pruner is conservative about suffixed/derived names;
             # keep only columns the source has, in the source's order
-            pdf = pdf[[c for c in pdf.columns if c in self.pruned_columns]]
+            pdf = pdf[[c for c in pdf.columns if c in keep]]
         limit = ctx.cfg.chunk_limit
         if isinstance(pdf, pd.Series):
             pieces, total = split_pandas(pdf.to_frame("__s__"), limit)

@@ -1,28 +1,27 @@
 """Column pruning over the tileable graph (paper Section V-A).
 
-Traverses backward from the data sinks recording the columns each
-operator needs, and registers the pruned column set on the data-source
-operators so unnecessary columns are never loaded (the paper's analogue
-of predicate/projection pushdown). Conservative: any operator that
-cannot describe its needs (``required_input_columns`` returning
-``None``) forces full columns upstream of it.
+Traverses backward from a run's targets recording the columns each
+operator needs; the tiler hands each tileable its set on the
+``TileContext``, so a data source loads only those columns (the paper's
+analogue of predicate/projection pushdown). Conservative: a target needs
+every column, and any operator that cannot describe its needs
+(``required_input_columns`` returning ``None``) forces full columns
+upstream of it.
 
-Deferred evaluation makes pruning *incremental*: a later ``run`` may
-extend the graph and need columns an earlier run pruned away. The tiler
-therefore calls :func:`apply_pruning`, which compares the new
-requirements against what each already-tiled source actually loaded and
-reports the sources that must be re-tiled (their cached chunks — and
-everything downstream — are invalidated by the tiler).
+Pruning is per run: only a run's targets keep their chunks, and they
+have every column, so a later ``run`` that extends the graph tiles the
+rest afresh for its own requirements.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import DAG
 from .operators.base import Tileable
 
 
-def compute_required(dag: DAG[Tileable]) -> dict[str, Optional[set]]:
+def compute_required(dag: DAG[Tileable],
+                     targets: Iterable[Tileable]) -> dict[str, Optional[set]]:
     """Per-tileable required-column map; ``None`` means "all columns"."""
     required: dict[str, Optional[set]] = {}
 
@@ -35,7 +34,7 @@ def compute_required(dag: DAG[Tileable]) -> dict[str, Optional[set]]:
             else:
                 required[key] |= cols
 
-    for t in dag.sink_nodes():
+    for t in targets:
         widen(t.key, None)
 
     for t in dag.reverse_topological_order():
@@ -48,28 +47,3 @@ def compute_required(dag: DAG[Tileable]) -> dict[str, Optional[set]]:
             for inp, cols in zip(t.inputs, per_input):
                 widen(inp.key, cols)
     return required
-
-
-def apply_pruning(dag: DAG[Tileable]) -> list[Tileable]:
-    """Annotate source ops with pruned columns; returns sources whose
-    cached chunks are stale (tiled with fewer columns than now needed).
-    """
-    required = compute_required(dag)
-    stale: list[Tileable] = []
-    for t in dag.nodes():
-        op = t.op
-        if not hasattr(op, "pruned_columns") or t.inputs:
-            continue
-        req = required.get(t.key)
-        if t.chunks is not None:
-            # already tiled: check the earlier prune still covers req
-            loaded = op.pruned_columns  # None = loaded everything
-            if loaded is None or (req is not None and req <= loaded):
-                continue
-            stale.append(t)
-        # a source loads the required names it has
-        hint = t.columns_hint
-        if req is not None and hint is not None:
-            req = req & set(hint)
-        op.pruned_columns = req
-    return stale

@@ -12,6 +12,8 @@ yield and partitioning falls back to static estimates — the baseline
 behaviour of the systems in paper Tables I/II. ``GraphTiler.yields``
 counts the switches; what each dynamic operator decided is on its
 tileable (``Tileable.decision``), so it goes with the query's graph.
+Column pruning is per run (:mod:`.pruning`): only a run's targets keep
+their chunks, and they have every column.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .config import EngineConfig
 from .executor import BaseExecutor
 from .graph import build_dag
 from .operators.base import Tileable, TileContext, run_tile
-from .pruning import apply_pruning
+from .pruning import compute_required
 
 
 class GraphTiler:
@@ -34,10 +36,12 @@ class GraphTiler:
         self.yields = 0  # probe executions, i.e. tile → execute switches
 
     def tile(self, targets: Iterable[Tileable]) -> list[str]:
-        """Tile every not-yet-tiled tileable reachable from ``targets``
-        (idempotent: already-tiled nodes keep their chunks, so repeated
-        ``run`` calls on a growing graph reuse earlier work — the
-        "deferred evaluation" usage mode).
+        """Tile what ``targets`` need: the walk stops at a tileable that
+        still holds chunks, which only an earlier run's target does, so
+        repeated ``run`` calls on a growing graph reuse its stored result
+        (the "deferred evaluation" usage mode). Every other tileable the
+        call tiles gives its chunk list back when the call ends; its chunk
+        nodes stay reachable from the targets' chunks.
 
         Returns the probe holds: one executor reference per executed
         probe target, which keeps its payload for the resumed generators
@@ -52,12 +56,9 @@ class GraphTiler:
         return holds
 
     def _tile(self, targets: list[Tileable], holds: list[str]) -> None:
-        dag = build_dag(targets)
-        if self.cfg.column_pruning:
-            stale = apply_pruning(dag)
-            if stale:
-                self._invalidate(dag, stale)
-        ctx = TileContext(self.cfg, self.executor.storage)
+        dag = build_dag(targets, lambda t: t.chunks is not None)
+        required = compute_required(dag, targets) if self.cfg.column_pruning else None
+        ctx = TileContext(self.cfg, self.executor.storage, required)
 
         def execute_probe(chunks: list[ChunkNode]) -> None:
             # the switch to execution (Fig. 5a step 2): run the partial
@@ -66,15 +67,13 @@ class GraphTiler:
             self.executor.execute(chunks)
             holds.extend(c.key for c in chunks)
 
-        for t in dag.topological_order():
-            if t.chunks is None:
-                t.chunks = run_tile(t, ctx, execute_probe)
-
-    def _invalidate(self, dag, stale: list[Tileable]) -> None:
-        """Drop cached chunks of stale sources and their descendants so
-        the next pass re-tiles them with the wider column set."""
-        invalid = {t.key for t in stale}
-        for t in dag.topological_order():
-            if t.key in invalid or any(i.key in invalid for i in t.inputs):
-                invalid.add(t.key)
-                t.chunks = None
+        tiled: list[Tileable] = []
+        try:
+            for t in dag.topological_order():
+                if t.chunks is None:
+                    t.chunks = run_tile(t, ctx, execute_probe)
+                    tiled.append(t)
+        finally:
+            for t in tiled:
+                if t not in targets:
+                    t.chunks = None

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import EngineConfig
 from repro.core.graph import build_dag
+from repro.core.operators.base import DataChunk
 from repro.frontend import dataframe as xpd
 from repro.frontend.session import XSession
 
@@ -22,6 +23,14 @@ def decisions(*frames):
     order."""
     dag = build_dag([f._t for f in frames])
     return [t.decision for t in dag.topological_order() if t.decision]
+
+
+def graph_sources(t, column):
+    """The source chunks with ``column`` in the chunk graph of the run
+    target ``t``'s chunks, in index order."""
+    return sorted((c for c in build_dag(t.chunks).nodes()
+                   if isinstance(c.op, DataChunk) and column in c.op.data),
+                  key=lambda c: c.index)
 
 
 def skewed(n=4000, hot_frac=0.7, seed=0):
@@ -51,14 +60,23 @@ class TestIterativeTiling:
             pd.DataFrame({"col": [0.11, 0.12, 0.13, 0.14, 0.15] + [2.0] * 5}),
         ]).reset_index(drop=True)
         sess = session(chunk_limit=payload_nbytes(pdf) // 3 + 1)  # → 3 chunks
+        probes = []
+        execute = sess.executor.execute
+
+        def recording_execute(chunks, *args):
+            probes.append(list(chunks))
+            return execute(chunks, *args)
+
+        sess.executor.execute = recording_execute
         df = xpd.from_pandas(pdf, sess)
         filtered = df[df["col"] < 1]
         assert len(filtered._t.chunks or []) == 0 or True
         row = filtered.iloc[9]  # the tenth filtered row (0-indexed 9)
         expected = pdf[pdf["col"] < 1].iloc[9]
         assert row["col"] == expected["col"] == 0.85
-        # the filter chunks really were 4, 8, 5 long
-        lengths = [c.meta.shape[0] for c in filtered._t.chunks]
+        # the filter chunks, which the first probe ran, really were 4, 8, 5 long
+        assert all(c.op is filtered._t.op for c in probes[0])
+        lengths = [c.meta.shape[0] for c in probes[0]]
         assert lengths == [4, 8, 5]
         # iterative tiling had to yield at least once (unknown lengths)
         assert sess.stats.yields >= 1
@@ -125,9 +143,10 @@ class TestAutoReduceSelection:
         sess = session()
         pdf = pd.DataFrame({"k": np.arange(5000) % 5, "v": np.random.rand(5000)})
         src = xpd.from_pandas(pdf, sess)
-        src.groupby("k").agg({"v": "mean"}).to_pandas()
+        agg = src.groupby("k").agg({"v": "mean"})
+        agg.to_pandas()
         assert sess.stats.yields > 0
-        assert src._t.chunks[0].meta.observed  # the probe ran
+        assert graph_sources(agg._t, "v")[0].meta.observed  # the probe ran
 
 
 class TestMergeSelection:
@@ -215,10 +234,11 @@ class TestMergeSelection:
         out = lf.merge(rf, on="k")
         out.execute()
         k = ops.PROBE_CHUNKS
-        sources = lf._t.chunks + rf._t.chunks
+        lf_chunks = graph_sources(out._t, "v")
+        sources = lf_chunks + graph_sources(out._t, "w")
         assert all(c.meta.shape for c in sources)
-        assert [c.meta.observed for c in lf._t.chunks] == (
-            [True] * k + [False] * (len(lf._t.chunks) - k))
+        assert [c.meta.observed for c in lf_chunks] == (
+            [True] * k + [False] * (len(lf_chunks) - k))
         hinted = [c for c in sources if not c.meta.observed]
         assert hinted and all(c.meta.nbytes > 0 for c in hinted)
         assert estimate_nbytes(hinted) is None

@@ -640,6 +640,8 @@ class TestLifetimes:
         sess.close()
 
     def test_graph_on_executed_handle_does_not_reprobe(self, monkeypatch):
+        from repro.core.graph import build_dag
+        from repro.core.operators.base import DataChunk
         from repro.frontend import dataframe as xpd
         from repro.frontend.session import XSession
 
@@ -658,11 +660,15 @@ class TestLifetimes:
 
         monkeypatch.setattr(sess.executor, "execute", recording_execute)
         yields = sess.stats.yields
-        got = df.merge(rf, on="k").to_pandas()
+        merged = df.merge(rf, on="k")
+        got = merged.to_pandas()
         # one probe, of the unexecuted side only; then the final graph
         k = PROBE_CHUNKS
+        rf_chunks = sorted((c for c in build_dag(merged._t.chunks).nodes()
+                            if isinstance(c.op, DataChunk) and "w" in c.op.data),
+                           key=lambda c: c.index)
         assert sess.stats.yields == yields + 1
-        assert targets[0] == {c.key for c in rf._t.chunks[:k]}
+        assert targets[0] == {c.key for c in rf_chunks[:k]}
         assert not {c.key for c in df._t.chunks} & set().union(*targets)
         exp = left[left["v"] < 0.5].merge(right, on="k")
         assert len(got) == len(exp)

@@ -1,7 +1,7 @@
 """Unit tests for the generic DAG shared by all three graph levels."""
 import pytest
 
-from repro.core.graph import DAG
+from repro.core.graph import DAG, build_dag
 
 
 def chain(n):
@@ -89,3 +89,28 @@ class TestTopology:
         assert sub.successors(1) == [2]
         assert sub.predecessors(1) == []
         assert [n for n in sub.nodes() if sub.in_degree(n) == 0] == [1]
+
+
+class Node:
+    def __init__(self, key, *inputs):
+        self.key, self.inputs = key, list(inputs)
+
+
+class TestBuildDag:
+    def test_walks_every_upstream_node(self):
+        a = Node("a")
+        b = Node("b", a)
+        c = Node("c", a, b)
+        g = build_dag([c])
+        assert [n.key for n in g.topological_order()] == ["a", "b", "c"]
+
+    def test_stops_at_done_nodes(self):
+        """A done node is in the DAG, its inputs are not: the walk of the
+        tiler stops at a tiled tileable, the executor's at a stored chunk."""
+        a = Node("a")
+        b = Node("b", a)
+        c = Node("c", b)
+        d = Node("d", a, c)
+        g = build_dag([d], lambda n: n.key == "c")
+        assert {n.key for n in g.nodes()} == {"a", "c", "d"}
+        assert g.predecessors(c) == [] and g.predecessors(d) == [a, c]

@@ -6,7 +6,7 @@ as one Spark job (ROADMAP item 6).
 
 Each wave of two or more subtasks runs twice on a ``SparkExecutor``
 session: in-process (``BaseExecutor._run_specs``), then as one Spark
-job over the same ``(spec, inputs, sizes)`` items. The in-process
+job over the same ``(subtask, inputs, sizes)`` items. The in-process
 results are the ones stored, so the query runs as usual. A row gives the
 wave's subtasks and input MiB (the bytes ``SparkExecutor`` gates on),
 both times, and where the gate sends the wave. ``ops`` also times each
@@ -46,19 +46,19 @@ class WaveTimer(SparkExecutor):
     rows: list = []
     label = ""
 
-    def _run_specs(self, specs):
-        if len(specs) == 1:
-            return BaseExecutor._run_specs(self, specs)
-        nbytes = sum(map(self._input_nbytes, specs))
+    def _run_specs(self, subs):
+        if len(subs) == 1:
+            return BaseExecutor._run_specs(self, subs)
+        nbytes = sum(map(self._input_nbytes, subs))
         t0 = time.perf_counter()
-        local = list(BaseExecutor._run_specs(self, specs))
+        local = list(BaseExecutor._run_specs(self, subs))
         t1 = time.perf_counter()
-        items = [(spec, *self._gather(spec)) for spec in specs]
+        items = [(sub, *self._gather(sub)) for sub in subs]
         (self.spark.sparkContext.parallelize(items, len(items))
          .map(lambda it: run_subtask(*it)).collect())
         t2 = time.perf_counter()
         self.rows.append({
-            "op": self.label, "subtasks": len(specs),
+            "op": self.label, "subtasks": len(subs),
             "input_MiB": round(nbytes / MIB, 2),
             "in_process_s": round(t1 - t0, 3), "spark_s": round(t2 - t1, 3),
             "gate": "spark" if nbytes >= self.cfg.chunk_limit else "in-process",

@@ -39,10 +39,6 @@ class EngineConfig:
     graph_fusion: bool = True
     operator_fusion: bool = True
     column_pruning: bool = True
-    # Skew handling: a single join key whose estimated post-join bytes on
-    # one reducer exceed `skew_key_limit` is treated as hot and handled
-    # with a broadcast of the build side's hot rows.
-    skew_key_limit: int | None = None  # default: chunk_limit
     # Static-policy baselines (paper Tables I/II): when dynamic_tiling is
     # False these pick the partitioning instead of runtime metadata.
     static_reduce: str = "tree"  # "tree" | "shuffle"
@@ -63,7 +59,4 @@ class EngineConfig:
     # referenced object, and under churn its spill path fell over (the
     # paper's dead Ray workers) — modelled as allow_spill=False.
     allow_spill: bool = True
-
-    def resolved_skew_key_limit(self) -> int:
-        return self.skew_key_limit if self.skew_key_limit is not None else self.chunk_limit
 

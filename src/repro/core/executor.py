@@ -24,14 +24,13 @@ chunk's node, where the resumed ``tile`` generators read it.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.storage.service import StorageService
 
 from .chunk import Buckets, ChunkNode, ChunkMeta, payload_nbytes
 from .config import EngineConfig
 from .graph import DAG, build_dag
-from .operators.base import ShuffleReduce
 from .scheduler import Scheduler, make_bands
 from .subtask import Subtask, build_subtask_graph
 
@@ -42,15 +41,15 @@ class SimulatedHang(RuntimeError):
 
 
 def run_subtask(
-    spec: "SubtaskSpec",
+    sub: Subtask,
     inputs: dict[str, Any],
     input_sizes: dict[str, int],
 ) -> tuple[dict[str, Any], dict[str, Any], int]:
     """Execute one subtask purely: input payloads in, output payloads out.
 
-    Shippable to a Spark task: ``spec`` holds only the member chunks'
-    ops and input keys, and every input arrives in ``inputs`` keyed by
-    chunk key. Intra-subtask intermediates live in the local ``values``
+    Shippable to a Spark task: ``sub`` holds only the member chunks'
+    ops and keys, and every input arrives in ``inputs`` keyed by chunk
+    key. Intra-subtask intermediates live in the local ``values``
     dict and are freed as soon as their last intra-subtask consumer ran
     — both for real memory and for the meter.
 
@@ -65,18 +64,18 @@ def run_subtask(
     """
     # intra-subtask consumer counts drive freeing
     consumers: dict[str, int] = {}
-    for chunk in spec.chunks:
+    for chunk in sub.chunks:
         for k in chunk.input_keys:
             consumers[k] = consumers.get(k, 0) + 1
 
     values = dict(inputs)
     sizes: dict[str, Any] = {}
-    store_keys = set(spec.store_keys)
-    live = {k: input_sizes[k] for k in spec.input_keys}
+    store_keys = set(sub.store_keys)
+    live = {k: input_sizes[k] for k in sub.input_keys}
     live_total = sum(live.values())
     peak = live_total
 
-    for chunk in spec.chunks:
+    for chunk in sub.chunks:
         out = chunk.op.execute_chunk([values[k] for k in chunk.input_keys])
         values[chunk.key] = out
         if isinstance(out, Buckets):
@@ -97,45 +96,9 @@ def run_subtask(
                 if k in sizes:
                     del values[k]
 
-    outputs = {k: values[k] for k in spec.store_keys}
-    out_sizes = {k: sizes[k] for k in spec.store_keys}
+    outputs = {k: values[k] for k in sub.store_keys}
+    out_sizes = {k: sizes[k] for k in sub.store_keys}
     return outputs, out_sizes, peak
-
-
-class TaskChunk(NamedTuple):
-    """One member chunk as a worker sees it: its key, its op and its
-    inputs' keys. Unlike a :class:`ChunkNode` it holds no upstream nodes
-    or metadata, so pickling it never reaches back into the chunk graph."""
-
-    key: str
-    op: Any
-    input_keys: tuple
-
-
-class SubtaskSpec:
-    """What a worker needs to run one subtask, and nothing more: the
-    member chunks as :class:`TaskChunk`s (ops plus input keys), the keys
-    of its external inputs and of the outputs to store, and the bucket
-    ``reducer`` it reads from each shuffle input. Source chunks fused
-    into the subtask still carry their data in their op;
-    ``source_nbytes`` is the sum of their tile-time size hints, the part
-    of the subtask's input that arrives inside its ops."""
-
-    def __init__(self, subtask: Subtask, store_keys: list[str]) -> None:
-        self.key = subtask.key
-        self.chunks = [
-            TaskChunk(c.key, c.op, tuple(i.key for i in c.inputs))
-            for c in subtask.chunks
-        ]
-        self.input_keys = subtask.input_keys
-        self.store_keys = store_keys
-        self.band = subtask.band
-        self.source_nbytes = sum(c.meta.nbytes or 0
-                                 for c in subtask.chunks if not c.inputs)
-        # the bucket it reads from each shuffle input; reducers never fuse
-        # in, so a subtask holds at most one
-        self.reducer = next((c.op.reducer for c in self.chunks
-                             if isinstance(c.op, ShuffleReduce)), None)
 
 
 class BaseExecutor:
@@ -243,7 +206,7 @@ class BaseExecutor:
             lambda k: self.storage.nbytes_of(k) if self.storage.has(k) else 0,
         )
         for s, band in assignment.items():
-            s.band = band.name
+            s.band = band
 
         while held:
             wave = [
@@ -251,11 +214,10 @@ class BaseExecutor:
                 if not any(p in held for p in sub_dag.predecessors(s))
             ]
             assert wave, "subtask graph stalled (cycle after fusion?)"
-            # an output is stored only while something references it
-            self._run_wave([
-                SubtaskSpec(s, [c.key for c in s.chunks if c.key in self.refs])
-                for s in wave
-            ], nodes)
+            for s in wave:
+                # an output is stored only while something references it
+                s.store_keys = [c.key for c in s.chunks if c.key in self.refs]
+            self._run_wave(wave, nodes)
             self.waves += 1
             for s in wave:
                 self.decref(held.pop(s))
@@ -266,36 +228,36 @@ class BaseExecutor:
         self.storage.delete(k)
 
     # -- wave execution -------------------------------------------------
-    def _run_wave(self, specs: list[SubtaskSpec],
+    def _run_wave(self, subs: list[Subtask],
                   nodes: dict[str, ChunkNode]) -> None:
         """Run one wave: each subtask's result is metered, then stored."""
-        for spec, (outputs, sizes, peak) in zip(specs, self._run_specs(specs)):
-            self._meter(spec, peak)
-            self._store_outputs(spec, outputs, sizes, nodes)
+        for sub, (outputs, sizes, peak) in zip(subs, self._run_specs(subs)):
+            self._meter(sub, peak)
+            self._store_outputs(sub, outputs, sizes, nodes)
             self.tasks_executed += 1
 
-    def _run_specs(self, specs: list[SubtaskSpec]) -> Iterator[tuple]:
-        """``run_subtask`` results in ``specs`` order. In-process and
+    def _run_specs(self, subs: list[Subtask]) -> Iterator[tuple]:
+        """``run_subtask`` results in ``subs`` order. In-process and
         lazy: each subtask is gathered only after the previous one was
         stored, so a wave never holds all its outputs at once."""
-        for spec in specs:
-            yield run_subtask(spec, *self._gather(spec))
+        for sub in subs:
+            yield run_subtask(sub, *self._gather(sub))
 
-    def _input_key(self, spec: SubtaskSpec, k: str) -> Optional[str]:
-        """The storage key ``spec`` reads for its input ``k``: ``k`` itself,
-        or for a shuffle input the mapper's bucket ``spec.reducer``;
+    def _input_key(self, sub: Subtask, k: str) -> Optional[str]:
+        """The storage key ``sub`` reads for its input ``k``: ``k`` itself,
+        or for a shuffle input the mapper's bucket ``sub.reducer``;
         ``None`` when the mapper stored no such bucket."""
         mapped = self.buckets.get(k)
-        return k if mapped is None else mapped.get(spec.reducer)
+        return k if mapped is None else mapped.get(sub.reducer)
 
-    def _gather(self, spec: SubtaskSpec) -> tuple[dict[str, Any], dict[str, int]]:
+    def _gather(self, sub: Subtask) -> tuple[dict[str, Any], dict[str, int]]:
         """Input payloads and their stored sizes. A shuffle input is one
-        block: the mapper's bucket ``spec.reducer``, or its zero-row
+        block: the mapper's bucket ``sub.reducer``, or its zero-row
         ``empty`` (0 bytes) when it stored no such bucket."""
         inputs: dict[str, Any] = {}
         sizes: dict[str, int] = {}
-        for k in spec.input_keys:
-            key = self._input_key(spec, k)
+        for k in sub.input_keys:
+            key = self._input_key(sub, k)
             if key is None:
                 inputs[k], sizes[k] = self.buckets[k].empty, 0
             else:
@@ -304,7 +266,7 @@ class BaseExecutor:
         return inputs, sizes
 
     def _store_outputs(
-        self, spec: SubtaskSpec, outputs: dict[str, Any], sizes: dict[str, Any],
+        self, sub: Subtask, outputs: dict[str, Any], sizes: dict[str, Any],
         nodes: dict[str, ChunkNode],
     ) -> None:
         """Store each output and write its observed metadata onto its node
@@ -316,19 +278,19 @@ class BaseExecutor:
                 mapped = self.buckets[k] = Buckets(
                     {r: f"{k}::b{r}" for r in payload}, payload.empty)
                 for r, blk in payload.items():
-                    self.storage.put(mapped[r], blk, band=spec.band,
+                    self.storage.put(mapped[r], blk, band=sub.band,
                                      nbytes=sizes[k][r])
                 meta = ChunkMeta(nbytes=sum(sizes[k].values()), observed=True)
             else:
-                self.storage.put(k, payload, band=spec.band, nbytes=sizes[k])
+                self.storage.put(k, payload, band=sub.band, nbytes=sizes[k])
                 meta = ChunkMeta.from_payload(payload, nbytes=sizes[k], observed=True)
             nodes[k].meta = meta
 
-    def _meter(self, spec: SubtaskSpec, peak_working: int) -> None:
+    def _meter(self, sub: Subtask, peak_working: int) -> None:
         """Charge the subtask's peak transient working set (inputs +
         live intermediates) against its band."""
-        self.storage.charge_transient(spec.band, peak_working)
-        self.storage.release_transient(spec.band, peak_working)
+        self.storage.charge_transient(sub.band, peak_working)
+        self.storage.release_transient(sub.band, peak_working)
 
 
 class LocalExecutor(BaseExecutor):
@@ -353,22 +315,22 @@ class SparkExecutor(BaseExecutor):
         super().__init__(cfg, storage)
         self.spark = spark
 
-    def _input_nbytes(self, spec: SubtaskSpec) -> int:
-        """Bytes ``spec`` reads: the stored size of each block ``_gather``
+    def _input_nbytes(self, sub: Subtask) -> int:
+        """Bytes ``sub`` reads: the stored size of each block ``_gather``
         would fetch (without fetching it), plus its sources' size hints."""
-        keys = (self._input_key(spec, k) for k in spec.input_keys)
-        return spec.source_nbytes + sum(
+        keys = (self._input_key(sub, k) for k in sub.input_keys)
+        return sub.source_nbytes + sum(
             self.storage.nbytes_of(k) for k in keys if k is not None)
 
-    def _run_specs(self, specs: list[SubtaskSpec]) -> Iterator[tuple]:
-        if (len(specs) == 1 or sum(map(self._input_nbytes, specs))
+    def _run_specs(self, subs: list[Subtask]) -> Iterator[tuple]:
+        if (len(subs) == 1 or sum(map(self._input_nbytes, subs))
                 < self.cfg.chunk_limit):
             # one subtask, or one chunk's work (auto merge's unit): no
             # parallelism that pays for a job's 0.2–1 s
-            return super()._run_specs(specs)
+            return super()._run_specs(subs)
         # One partition per subtask: each Spark task deserialises only its
-        # own spec + input payloads.
-        items = [(spec, *self._gather(spec)) for spec in specs]
+        # own subtask + input payloads.
+        items = [(sub, *self._gather(sub)) for sub in subs]
         sc = self.spark.sparkContext
         return iter(
             sc.parallelize(items, len(items))

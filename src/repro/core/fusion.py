@@ -11,11 +11,11 @@ steps (paper Fig. 7):
    are given fresh colors, which then propagate along their same-colored
    chains.
 
-Nodes sharing a color (and connected through same-color edges) merge
-into one subtask. Shuffle edges never fuse: a ``ShuffleReduce`` sets
-``no_fuse_in`` and a ``ShuffleMap`` sets ``no_fuse_out``, which step 2
-treats as a forced color break (a shuffle is an all-to-all; fusing across it
-would serialise the exchange into one task).
+Nodes sharing a color merge into one subtask. Shuffle edges never fuse:
+a ``ShuffleReduce`` sets ``no_fuse_in`` and a ``ShuffleMap`` sets
+``no_fuse_out``, which step 2 treats as a forced color break (a shuffle
+is an all-to-all; fusing across it would serialise the exchange into one
+task).
 
 Operator-level fusion then collapses maximal chains of *elementwise*
 chunk ops inside a subtask into one :class:`FusedElementwise` kernel so
@@ -81,31 +81,14 @@ def _repaint_chain(dag, start, old: int, new: int, color) -> None:
 
 
 def fusion_groups(dag: DAG[ChunkNode]) -> list[list[ChunkNode]]:
-    """Color the graph and return connected same-color groups, each in
-    topological order — the members of one subtask."""
+    """Color the graph and return its color classes, each in topological
+    order — the members of one subtask. A class is connected through
+    same-colored edges: a node takes a color only from a predecessor,
+    and step 3 repaints only what one node reaches."""
     color = color_graph(dag)
-    # union-find over same-color edges so two disconnected components
-    # that happen to share a color stay separate subtasks
-    parent: dict[ChunkNode, ChunkNode] = {n: n for n in dag.nodes()}
-
-    def find(x):
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra is not rb:
-            parent[ra] = rb
-
-    for n in dag.nodes():
-        for s in dag.successors(n):
-            if color[n] == color[s]:
-                union(n, s)
-    groups: dict[ChunkNode, list[ChunkNode]] = {}
+    groups: dict[int, list[ChunkNode]] = {}
     for n in dag.topological_order():
-        groups.setdefault(find(n), []).append(n)
+        groups.setdefault(color[n], []).append(n)
     return list(groups.values())
 
 
@@ -130,46 +113,24 @@ def fuse_elementwise_chains(group: list[ChunkNode], dag: DAG[ChunkNode]) -> list
     """Operator-level fusion inside one subtask group.
 
     Finds maximal chains ``a -> b -> c`` of elementwise nodes where each
-    link is the sole in-group successor/predecessor, and replaces them
-    with a single node carrying a :class:`FusedElementwise`. Returns the
-    new topo-ordered node list; fused-away nodes are dropped and the
-    chain's tail node is re-pointed at the head's inputs.
+    link is the sole input of its successor and the sole consumer of its
+    predecessor, and replaces them with a single node carrying a
+    :class:`FusedElementwise`. Returns the new topo-ordered node list;
+    fused-away nodes are dropped and the chain's tail node is re-pointed
+    at the head's inputs.
     """
-    in_group = set(group)
-    chains: list[list[ChunkNode]] = []
-    used: set[str] = set()
+    tails: dict[str, list[ChunkNode]] = {}  # chain tail key -> chain
     for node in group:
-        if node.key in used or not getattr(node.op, "elementwise", False):
+        if not getattr(node.op, "elementwise", False):
             continue
-        def _links_to(pred: ChunkNode, succ: ChunkNode) -> bool:
-            """succ can be appended to a chain ending at pred."""
-            return (
-                getattr(succ.op, "elementwise", False)
-                and len(succ.inputs) == 1
-                and succ.inputs[0] is pred
-                and dag.out_degree(pred) == 1  # pred feeds nothing else
-            )
-
-        preds = [p for p in dag.predecessors(node) if p in in_group]
-        is_mid = (
-            len(preds) == 1
-            and getattr(preds[0].op, "elementwise", False)
-            and _links_to(preds[0], node)
-        )
-        if is_mid:
-            continue  # will be picked up by its chain head
-        chain = [node]
-        cur = node
-        while True:
-            succs = [s for s in dag.successors(cur) if s in in_group]
-            if len(succs) == 1 and _links_to(cur, succs[0]):
-                cur = succs[0]
-                chain.append(cur)
-            else:
-                break
-        if len(chain) > 1:
-            chains.append(chain)
-            used.update(c.key for c in chain)
+        chain = tails.get(node.inputs[0].key) if len(node.inputs) == 1 else None
+        if chain is not None and dag.out_degree(chain[-1]) == 1:
+            del tails[chain[-1].key]
+        else:
+            chain = []
+        chain.append(node)
+        tails[node.key] = chain
+    chains = [c for c in tails.values() if len(c) > 1]
     if not chains:
         return group
 

@@ -60,9 +60,6 @@ class DAG(Generic[N]):
     def out_degree(self, node: N) -> int:
         return len(self._succ[node])
 
-    def sink_nodes(self) -> list[N]:
-        return [n for n in self._succ if not self._succ[n]]
-
     # -- traversal ----------------------------------------------------
     def topological_order(self) -> list[N]:
         """Kahn's algorithm; raises ``ValueError`` on a cycle.

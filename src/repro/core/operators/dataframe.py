@@ -742,10 +742,11 @@ class Merge(Operator):
 
 
 def _detect_hot_keys(ctx, left, right, lkeys, rkeys):
-    """Find join keys whose estimated one-reducer bytes exceed the skew
-    limit, from the *executed* probe chunks' real key frequencies."""
-    cfg = ctx.cfg
-    limit = cfg.resolved_skew_key_limit()
+    """Find join keys whose estimated one-reducer bytes exceed
+    ``chunk_limit``, from the *executed* probe chunks' real key
+    frequencies. A hot key is handled with a broadcast of the build
+    side's hot rows."""
+    limit = ctx.cfg.chunk_limit
     hot: set = set()
     hot_bytes = 0
     for chunks, keys in ((left, lkeys), (right, rkeys)):

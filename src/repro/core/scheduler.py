@@ -10,32 +10,19 @@ least-loaded band on ties or missing metadata.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .graph import DAG
 
 
-@dataclass(frozen=True)
-class Band:
-    worker: int
-    numa: int
-
-    @property
-    def name(self) -> str:
-        return f"w{self.worker}-n{self.numa}"
-
-    def __str__(self) -> str:  # pragma: no cover - debug aid
-        return self.name
-
-
-def make_bands(n_workers: int, bands_per_worker: int) -> list[Band]:
-    return [Band(w, n) for w in range(n_workers) for n in range(bands_per_worker)]
+def make_bands(n_workers: int, bands_per_worker: int) -> list[str]:
+    """Band names ``w<worker>-n<numa>``, worker by worker."""
+    return [f"w{w}-n{n}" for w in range(n_workers) for n in range(bands_per_worker)]
 
 
 class Scheduler:
     """Assign subtasks to bands (breadth-first + locality-aware)."""
 
-    def __init__(self, bands: list[Band]) -> None:
+    def __init__(self, bands: list[str]) -> None:
         assert bands, "at least one band required"
         self.bands = bands
 
@@ -45,7 +32,7 @@ class Scheduler:
         chunk_band: dict[str, str],
         subtask_nbytes,
     ) -> dict:
-        """Return subtask → band.
+        """Return subtask → band name.
 
         ``chunk_band`` maps already-materialised chunk keys to the name
         of the band owning them (from the storage service); each chunk
@@ -53,8 +40,7 @@ class Scheduler:
         ``subtask_nbytes(key)`` returns the stored size of a chunk, 0 if
         unknown — used to weigh locality.
         """
-        by_name = {b.name: b for b in self.bands}
-        load: Counter = Counter({b.name: 0 for b in self.bands})
+        load: Counter = Counter({b: 0 for b in self.bands})
         assignment: dict = {}
 
         order = subtask_dag.topological_order()
@@ -64,9 +50,9 @@ class Scheduler:
         for i, sub in enumerate(initial):
             band = self.bands[i % len(self.bands)]
             assignment[sub] = band
-            load[band.name] += 1
+            load[band] += 1
             for c in sub.chunks:
-                chunk_band[c.key] = band.name
+                chunk_band[c.key] = band
 
         for sub in order:
             if sub in assignment:
@@ -78,14 +64,13 @@ class Scheduler:
                 if band_name is not None:
                     weight[band_name] += max(1, subtask_nbytes(key))
             if weight:
-                best = max(
+                band = max(
                     weight.items(), key=lambda kv: (kv[1], -load[kv[0]])
                 )[0]
-                band = by_name[best]
             else:
-                band = min(self.bands, key=lambda b: load[b.name])
+                band = min(self.bands, key=lambda b: load[b])
             assignment[sub] = band
-            load[band.name] += 1
+            load[band] += 1
             for c in sub.chunks:
-                chunk_band[c.key] = band.name
+                chunk_band[c.key] = band
         return assignment

@@ -169,8 +169,7 @@ class TestMergeSelection:
         assert len(got) == len(exp)
 
     def test_skew_detected_and_correct(self):
-        sess = session(broadcast_threshold=100, chunk_limit=8_000,
-                       skew_key_limit=4_000)
+        sess = session(broadcast_threshold=100, chunk_limit=4_000)
         left = skewed(6000)
         right = pd.DataFrame({"k": np.arange(500), "w": np.random.rand(500)})
         # force the shuffle path (right exceeds broadcast threshold)
@@ -182,8 +181,7 @@ class TestMergeSelection:
         assert abs(out["v"].sum() - exp["v"].sum()) < 1e-6
 
     def test_left_join_with_skew(self):
-        sess = session(broadcast_threshold=100, chunk_limit=8_000,
-                       skew_key_limit=4_000)
+        sess = session(broadcast_threshold=100, chunk_limit=4_000)
         left = skewed(6000)
         right = pd.DataFrame({"k": np.arange(0, 300), "w": np.random.rand(300)})
         out = (
@@ -217,8 +215,7 @@ class TestMergeSelection:
         from repro.core.chunk import estimate_nbytes
         from repro.core.operators import dataframe as ops
 
-        sess = session(broadcast_threshold=100, chunk_limit=8_000,
-                       skew_key_limit=4_000)
+        sess = session(broadcast_threshold=100, chunk_limit=4_000)
         lf = xpd.from_pandas(skewed(6000), sess)
         rf = xpd.from_pandas(pd.DataFrame({"k": np.arange(500),
                                            "w": np.random.rand(500)}), sess)

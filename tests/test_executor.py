@@ -198,7 +198,7 @@ def _assert_same_payload(a, b):
 
 
 def _record_waves(ex):
-    """Record every wave ``ex`` runs as ``[(spec, inputs, input_sizes), ...]``."""
+    """Record every wave ``ex`` runs as ``[(subtask, inputs, input_sizes), ...]``."""
     waves = []
     run_wave = ex._run_wave
 
@@ -210,14 +210,14 @@ def _record_waves(ex):
     return waves
 
 
-class TestSubtaskSpec:
-    """A spec pickles to its members' ops and input keys, not to the
-    chunk and tileable graph upstream of it."""
+class TestSubtaskPickles:
+    """A subtask pickles to its members' ops and keys, not to the chunk
+    and tileable graph upstream of it."""
 
     @staticmethod
     def _query_waves(n_rows):
         """Run filter → merge → groupby over a ``from_pandas`` source;
-        return every wave as ``[(spec, inputs, input_sizes), ...]``."""
+        return every wave as ``[(subtask, inputs, input_sizes), ...]``."""
         from repro.frontend import dataframe as xpd
         from repro.frontend.session import XSession
 

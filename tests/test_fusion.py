@@ -1,5 +1,7 @@
 """The coloring graph-level fusion (paper § V-A, Fig. 7) and
 operator-level elementwise fusion."""
+import random
+
 import pandas as pd
 
 from repro.core.chunk import ChunkNode
@@ -117,8 +119,8 @@ class TestFusionGroups:
         assert groups[0] == [a, b]
 
     def test_same_color_disconnected_not_merged(self):
-        # two separate chains may reuse color ints; union-find keeps
-        # disconnected components apart
+        # each source takes its own color from the one counter, so two
+        # separate chains never share a color
         a, b = node(), node()
         a2, b2 = node(inputs=[a]), node(inputs=[b])
         dag = build([(a, a2), (b, b2)], [a, b, a2, b2])
@@ -132,6 +134,34 @@ class TestFusionGroups:
         dag = build([(a, b), (b, c)], [a, b, c])
         (group,) = fusion_groups(dag)
         assert group.index(a) < group.index(b) < group.index(c)
+
+    def test_color_classes_are_connected(self):
+        """Grouping by color alone is sound: on seeded random DAGs with
+        shuffle barriers, every color class is weakly connected through
+        same-colored edges."""
+        rng = random.Random(0)
+        for _ in range(500):
+            nodes = []
+            for _ in range(rng.randint(1, 40)):
+                k = rng.randint(0, min(3, len(nodes)))
+                flags = {f: True for f in ("no_fuse_in", "no_fuse_out")
+                         if rng.random() < 0.15}
+                nodes.append(node(op=Op(**flags), inputs=rng.sample(nodes, k)))
+            dag = build([(i, n) for n in nodes for i in n.inputs], nodes)
+            color = color_graph(dag)
+            classes = {}
+            for n in nodes:
+                classes.setdefault(color[n], set()).add(n)
+            for members in classes.values():
+                start = next(iter(members))
+                seen, stack = {start}, [start]
+                while stack:
+                    n = stack.pop()
+                    for m in dag.successors(n) + dag.predecessors(n):
+                        if m in members and m not in seen:
+                            seen.add(m)
+                            stack.append(m)
+                assert seen == members
 
     def test_shuffle_makes_separate_groups(self):
         m1, m2 = node(op=Op(no_fuse_out=True)), node(op=Op(no_fuse_out=True))

@@ -43,7 +43,7 @@ class TestQueries:
         g.add_edge("b", "c")
         g.add_edge("c", "d")
         assert [n for n in g.nodes() if g.in_degree(n) == 0] == ["a", "b"]
-        assert g.sink_nodes() == ["d"]
+        assert [n for n in g.nodes() if g.out_degree(n) == 0] == ["d"]
 
     def test_degrees(self):
         g = DAG()

@@ -262,7 +262,7 @@ class TestCompositeHotKeys:
         storage = StorageService()
         storage.put(chunk.key, df)
         # any key seen 40 times in the (only) probed chunk is hot
-        ctx = TileContext(EngineConfig(skew_key_limit=1), storage=storage)
+        ctx = TileContext(EngineConfig(chunk_limit=1), storage=storage)
         hot, _ = _detect_hot_keys(ctx, [chunk], [], ["a", "b"], ["a", "b"])
         want = self.tuple_top20(df, ["a", "b"])
         assert len(want) == 20

@@ -2,7 +2,7 @@
 from repro.core.chunk import ChunkNode
 from repro.core.graph import DAG
 from repro.core.operators.base import Operator
-from repro.core.scheduler import Band, Scheduler, make_bands
+from repro.core.scheduler import Scheduler, make_bands
 from repro.core.subtask import Subtask
 
 
@@ -19,11 +19,7 @@ def subtask(inputs=()):
 class TestBands:
     def test_make_bands(self):
         bands = make_bands(2, 2)
-        assert [b.name for b in bands] == ["w0-n0", "w0-n1", "w1-n0", "w1-n1"]
-
-    def test_band_identity(self):
-        assert Band(0, 1) == Band(0, 1)
-        assert Band(0, 1) != Band(1, 1)
+        assert bands == ["w0-n0", "w0-n1", "w1-n0", "w1-n1"]
 
 
 def build_dag(subtasks, edges):
@@ -42,7 +38,7 @@ class TestBreadthFirst:
         subs = [subtask()[0] for _ in range(8)]
         dag = build_dag(subs, [])
         assign = sched.assign(dag, {}, lambda k: 0)
-        names = [assign[s].name for s in subs]
+        names = [assign[s] for s in subs]
         # round-robin over all four bands, twice
         assert names[:4] == ["w0-n0", "w0-n1", "w1-n0", "w1-n1"]
         assert len(set(names)) == 4
@@ -53,7 +49,7 @@ class TestBreadthFirst:
         subs = [subtask()[0] for _ in range(2)]
         dag = build_dag(subs, [])
         assign = sched.assign(dag, {}, lambda k: 0)
-        assert {assign[s].worker for s in subs} == {0}
+        assert all(assign[s].startswith("w0-") for s in subs)
 
 
 class TestLocality:

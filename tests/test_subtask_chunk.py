@@ -64,7 +64,7 @@ class TestSubtask:
         b = node(inputs=[a])
         s = Subtask(chunks=[a, b])
         assert s.input_keys == [ext.key]
-        assert s.member_keys == {a.key, b.key}
+        assert [c.key for c in s.chunks] == [a.key, b.key]
 
     def test_build_graph_chain_fused(self):
         a = node(op=Ew())
@@ -87,7 +87,9 @@ class TestSubtask:
         sdag, subs = build_subtask_graph(dag, EngineConfig())
         assert len(subs) == 5
         # every reducer subtask depends on every mapper subtask
-        red_subs = [s for s in subs if s.chunks[0] in reds]
+        red_keys = {r.key for r in reds}
+        red_subs = [s for s in subs if s.chunks[0].key in red_keys]
+        assert len(red_subs) == 2
         for rs in red_subs:
             assert sdag.in_degree(rs) == 3
 

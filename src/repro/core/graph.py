@@ -14,17 +14,19 @@ N = TypeVar("N", bound=Hashable)
 
 
 class DAG(Generic[N]):
-    """A directed acyclic graph with O(1) predecessor/successor lookup."""
+    """A directed acyclic graph with O(1) edge insertion and lookup.
+    Each node's successors and predecessors are insertion-ordered dicts
+    (used as ordered sets), so walks are deterministic."""
 
     def __init__(self) -> None:
-        self._succ: dict[N, list[N]] = {}
-        self._pred: dict[N, list[N]] = {}
+        self._succ: dict[N, dict[N, None]] = {}
+        self._pred: dict[N, dict[N, None]] = {}
 
     # -- construction -------------------------------------------------
     def add_node(self, node: N) -> None:
         if node not in self._succ:
-            self._succ[node] = []
-            self._pred[node] = []
+            self._succ[node] = {}
+            self._pred[node] = {}
 
     def add_edge(self, src: N, dst: N) -> None:
         """Add a dependency edge ``src -> dst``; inserts missing nodes.
@@ -34,9 +36,8 @@ class DAG(Generic[N]):
         """
         self.add_node(src)
         self.add_node(dst)
-        if dst not in self._succ[src]:
-            self._succ[src].append(dst)
-            self._pred[dst].append(src)
+        self._succ[src][dst] = None
+        self._pred[dst][src] = None
 
     # -- queries ------------------------------------------------------
     def __contains__(self, node: N) -> bool:

@@ -34,8 +34,8 @@ import numpy as np
 import pandas as pd
 
 from ..automerge import map_chunks, tree_reduce
-from ..chunk import (Buckets, ChunkMeta, ChunkNode, estimate_nbytes,
-                     payload_nbytes)
+from ..chunk import (Block, Buckets, ChunkMeta, ChunkNode, estimate_nbytes,
+                     frame_of, payload_nbytes)
 from ..reduce_select import choose_reduce
 from .base import (Combine, DataChunk, Elementwise, Kernel, Operator,
                    TileContext, shuffle)
@@ -70,20 +70,36 @@ def _empty_like(pdf):
     return pdf.iloc[np.empty(0, dtype=np.intp)]
 
 
-def _split_by_codes(pdf, codes: np.ndarray, total: int) -> Buckets:
-    """Split ``pdf`` by per-row bucket ``codes`` in ``range(total)``,
-    keeping only the non-empty buckets; rows keep their input order
-    inside a bucket. One stable sort + boundary slicing: O(rows log
-    rows), independent of the bucket count (a per-bucket mask scan is
-    O(rows × buckets))."""
+def _split_by_codes(pdf, codes: np.ndarray, total: int,
+                    rows: Optional[np.ndarray] = None) -> Buckets:
+    """Split ``pdf`` by per-row bucket ``codes`` in ``range(total)`` into
+    blocks (:class:`Block`), keeping only the non-empty buckets; rows keep
+    their input order inside a bucket. ``rows`` (default: every row, in
+    order) names the row each code belongs to, so a row may go to
+    several buckets. One stable sort, one take per column, then a slice
+    per bucket: O(rows log rows) and one small object per bucket."""
     order = np.argsort(codes, kind="stable")
     bounds = np.searchsorted(codes[order], np.arange(total + 1))
-    reordered = pdf.iloc[order]
-    return Buckets(
-        {r: reordered.iloc[bounds[r]:bounds[r + 1]]
-         for r in np.flatnonzero(np.diff(bounds)).tolist()},
-        _empty_like(pdf),
-    )
+    full = np.flatnonzero(np.diff(bounds)).tolist()
+    block = Block.of(pdf)
+    if rows is None and len(full) <= 1:  # no rows, or all in one bucket
+        return Buckets({r: block for r in full}, _empty_like(pdf))
+    block = block.take(order if rows is None else rows[order])
+    return Buckets({r: block.slice(bounds[r], bounds[r + 1]) for r in full},
+                   _empty_like(pdf))
+
+
+def _hash_codes(pdf: pd.DataFrame, on: list[str], n: int) -> np.ndarray:
+    """Each row's hash bucket in ``range(n)`` on key columns ``on``."""
+    if n <= 1 or len(pdf) == 0:
+        return np.zeros(len(pdf), dtype=np.intp)
+    if len(on) == 1:
+        h = pd.util.hash_pandas_object(pdf[on[0]], index=False)
+    else:
+        h = pd.util.hash_pandas_object(
+            pdf[on].astype(object).apply(tuple, axis=1), index=False
+        )
+    return (h % n).to_numpy().astype(np.intp)
 
 
 def hash_partition(
@@ -97,15 +113,7 @@ def hash_partition(
     executor stores one entry per *non-empty* bucket.
     """
     total = total if total is not None else n
-    if len(pdf) == 0 or n <= 1:
-        return Buckets({0: pdf} if len(pdf) else {}, _empty_like(pdf))
-    if len(on) == 1:
-        h = pd.util.hash_pandas_object(pdf[on[0]], index=False)
-    else:
-        h = pd.util.hash_pandas_object(
-            pdf[on].astype(object).apply(tuple, axis=1), index=False
-        )
-    return _split_by_codes(pdf, (h % n).to_numpy(), total)
+    return _split_by_codes(pdf, _hash_codes(pdf, on, n), total)
 
 
 def _concat(*parts):
@@ -114,14 +122,45 @@ def _concat(*parts):
     return parts[0] if len(parts) == 1 else pd.concat(parts)
 
 
+def _concat_arrays(arrays: list):
+    """One column's arrays end to end; ``None`` unless they share a
+    dtype (pandas would find a common one)."""
+    first = arrays[0]
+    if any(a.dtype != first.dtype for a in arrays):
+        return None
+    if isinstance(first, np.ndarray):
+        return np.concatenate(arrays)
+    return type(first)._concat_same_type(arrays)
+
+
+def _as_block(part) -> Block:
+    return part if isinstance(part, Block) else Block.of(part)
+
+
+def _concat_blocks(parts: list) -> Block:
+    """A reducer side's rows as one block: the non-empty parts in order,
+    with one concatenate per column. Parts whose columns or dtypes
+    differ go through ``pd.concat``, which finds their common schema.
+    With no rows, the first part's (zero-row) schema."""
+    blocks = [_as_block(p) for p in parts if len(p)]
+    if not blocks:
+        return _as_block(parts[0])
+    first = blocks[0]
+    if len(blocks) == 1:
+        return first
+    if all(b.columns.equals(first.columns) for b in blocks):
+        arrays = [_concat_arrays([b.arrays[i] for b in blocks])
+                  for i in range(len(first.arrays))]
+        if all(a is not None for a in arrays):
+            index = first.index.append([b.index for b in blocks[1:]])
+            return Block(first.columns, index, arrays)
+    return Block.of(pd.concat([b.frame() for b in blocks]))
+
+
 def _concat_parts(parts: list) -> pd.DataFrame:
-    """Concat shuffle parts, skipping empties (they only carry schema)."""
-    nonempty = [p for p in parts if len(p)]
-    if not nonempty:
-        return parts[0]
-    if len(nonempty) == 1:
-        return nonempty[0]
-    return pd.concat(nonempty)
+    """Concat shuffle parts into a frame, skipping empties (they only
+    carry schema)."""
+    return _concat_blocks(parts).frame()
 
 
 def normalize_aggs(aggs: Any, kwargs: dict) -> tuple[list[tuple[str, Optional[str], str]], str]:
@@ -631,30 +670,84 @@ def _merge_split(df, keys: list[str], n: int,
         hot_mask = df[keys[0]].isin(hot_keys).to_numpy()
     else:
         hot_mask = pd.MultiIndex.from_frame(df[keys]).isin(hot_keys)
-    cold = df.iloc[np.flatnonzero(~hot_mask)]
-    hot = df.iloc[np.flatnonzero(hot_mask)]
-    out = hash_partition(cold, keys, n, total=total)
-    if len(hot):
-        if replicate_hot:
-            for r in range(n, total):
-                out[r] = pd.concat([out.get(r, out.empty), hot])
-        else:
-            assign = np.arange(len(hot)) % hot_buckets
-            for b in range(hot_buckets):
-                part = hot.iloc[np.flatnonzero(assign == b)]
-                if len(part):
-                    out[n + b] = pd.concat([out.get(n + b, out.empty), part])
-    return out
+    codes = _hash_codes(df, keys, n)
+    hot = np.flatnonzero(hot_mask)
+    if not replicate_hot:
+        codes[hot] = n + np.arange(len(hot)) % hot_buckets
+        return _split_by_codes(df, codes, total)
+    rows = np.concatenate([np.flatnonzero(~hot_mask), np.tile(hot, hot_buckets)])
+    codes = np.concatenate([codes[~hot_mask],
+                            np.repeat(np.arange(n, total), len(hot))])
+    return _split_by_codes(df, codes, total, rows)
+
+
+def _key_positions(columns: pd.Index, keys: list[str]) -> Optional[list[int]]:
+    """Positions of ``keys`` among ``columns``; ``None`` unless each
+    names exactly one column."""
+    pos = [columns.get_loc(k) if k in columns else None for k in keys]
+    return pos if all(isinstance(p, int) for p in pos) else None
+
+
+def _hash_join(left: Block, right: Block, kw: _MergeKw) -> Optional[pd.DataFrame]:
+    """``left.merge(right)`` for an ``inner`` or ``left`` join whose build
+    (right) side has unique keys: index the right keys once, look every
+    left key up in it, and take the matching rows. The result equals
+    pandas' merge: left columns then right ones (a right key named like
+    its left key is dropped), left row order, missing right values
+    upcast as pandas upcasts them, and a ``RangeIndex``. ``None`` where
+    pandas' own merge must decide: another ``how``, repeated build keys,
+    names that need suffixes, or key dtypes that differ other than in
+    the width of a NumPy integer."""
+    if kw.how not in ("inner", "left"):
+        return None
+    lkeys, rkeys = kw.left_keys(), kw.right_keys()
+    lpos = _key_positions(left.columns, lkeys)
+    rpos = _key_positions(right.columns, rkeys)
+    if lpos is None or rpos is None or not left.columns.is_unique:
+        return None
+    for i, j in zip(lpos, rpos):
+        lt, rt = left.arrays[i].dtype, right.arrays[j].dtype
+        if lt != rt and not (isinstance(lt, np.dtype) and isinstance(rt, np.dtype)
+                             and lt.kind == rt.kind == "i"):
+            return None
+    shared = {r for l, r in zip(lkeys, rkeys) if l == r}
+    keep = [j for j, c in enumerate(right.columns) if c not in shared]
+    if any(right.columns[j] in left.columns for j in keep):
+        return None
+    if len(rpos) == 1:
+        build = pd.Index(right.arrays[rpos[0]])
+        probe = left.arrays[lpos[0]]
+    else:
+        build = pd.MultiIndex.from_arrays([right.arrays[j] for j in rpos])
+        probe = pd.MultiIndex.from_arrays([left.arrays[i] for i in lpos])
+    if not build.is_unique:
+        return None
+    found = build.get_indexer(probe)
+    if kw.how == "inner":
+        rows = np.flatnonzero(found >= 0)
+        larrays = [a.take(rows) for a in left.arrays]
+        rarrays = [right.arrays[j].take(found[rows]) for j in keep]
+    else:
+        larrays = [a.copy() for a in left.arrays]
+        rarrays = [pd.api.extensions.take(right.arrays[j], found, allow_fill=True)
+                   for j in keep]
+    columns = left.columns.append(right.columns[keep])
+    return frame_of(columns, pd.RangeIndex(len(larrays[0])), larrays + rarrays)
 
 
 def _merge_reduce(blocks, kw: _MergeKw, n_left: int):
     """Shuffle reduce of a merge: the first ``n_left`` blocks are the left
     side's. The executor hands every bucket a mapper did not store as
     that mapper's zero-row ``empty``, so both sides' column structure is
-    always here; merging empty sides yields the right output columns."""
-    left = _concat_parts(blocks[:n_left])
-    right = _concat_parts(blocks[n_left:])
-    return left.merge(right, **kw.pandas_kwargs())
+    always here; merging empty sides yields the right output columns.
+    A unique-keyed build side is joined by :func:`_hash_join`; every
+    other input goes through pandas' merge."""
+    left = _concat_blocks(blocks[:n_left])
+    right = _concat_blocks(blocks[n_left:])
+    out = _hash_join(left, right, kw)
+    if out is None:
+        out = left.frame().merge(right.frame(), **kw.pandas_kwargs())
+    return out
 
 
 class Merge(Operator):

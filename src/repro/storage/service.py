@@ -30,7 +30,6 @@ import enum
 import os
 import pickle
 import tempfile
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -89,7 +88,9 @@ class StorageService:
         spill_dir: Optional[str] = None,
         allow_spill: bool = True,
     ) -> None:
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: dict[str, _Entry] = {}
+        # band → its memory-level keys, least recently put or read first
+        self._lru: dict[str, dict[str, None]] = {}
         self.band_memory_limit = band_memory_limit
         self.allow_spill = allow_spill
         self._spill_dir = spill_dir
@@ -115,12 +116,10 @@ class StorageService:
                 band, u.resident + u.transient, self.band_memory_limit,
                 detail or "(no spill: object store full)",
             )
-        for key in list(self._entries):  # OrderedDict = LRU order
-            if u.resident + u.transient <= self.band_memory_limit:
-                break
+        lru = self._lru.get(band, {})
+        while lru and u.resident + u.transient > self.band_memory_limit:
+            key = next(iter(lru))
             entry = self._entries[key]
-            if entry.band != band or entry.level is not StorageLevel.MEMORY:
-                continue
             self._spill_entry(key, entry)
             u.resident -= entry.nbytes
         if u.resident + u.transient > self.band_memory_limit:
@@ -161,13 +160,16 @@ class StorageService:
         self._entries[key] = _Entry(
             level=StorageLevel.MEMORY, nbytes=nbytes, band=band, payload=payload
         )
+        self._lru.setdefault(band, {})[key] = None
         self.band_usage(band).resident += nbytes
         self._rebalance(band)
         return nbytes
 
     def get(self, key: str) -> Any:
         entry = self._entries[key]
-        self._entries.move_to_end(key)  # LRU touch
+        lru = self._lru[entry.band]  # LRU touch
+        lru.pop(key, None)
+        lru[key] = None
         if entry.level is StorageLevel.DISK:
             with open(entry.path, "rb") as f:
                 payload = pickle.load(f)
@@ -196,6 +198,7 @@ class StorageService:
         if entry is None:
             return
         if entry.level is StorageLevel.MEMORY:
+            del self._lru[entry.band][key]
             u = self.band_usage(entry.band)
             if entry.nbytes > u.resident:
                 raise AssertionError(
@@ -211,6 +214,7 @@ class StorageService:
 
     # -- spill ----------------------------------------------------------
     def _spill_entry(self, key: str, entry: _Entry) -> None:
+        del self._lru[entry.band][key]
         path = self._spill_path(key)
         with open(path, "wb") as f:
             pickle.dump(entry.payload, f, protocol=pickle.HIGHEST_PROTOCOL)
@@ -230,6 +234,7 @@ class StorageService:
         for key in list(self._entries):
             self.delete(key)
         self.bands.clear()
+        self._lru.clear()
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None

@@ -12,7 +12,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.chunk import ChunkMeta, ChunkNode
+from repro.core.chunk import Block, ChunkMeta, ChunkNode
 from repro.core.config import EngineConfig
 from repro.core.executor import LocalExecutor, SimulatedHang, run_subtask
 from repro.core.operators.base import Elementwise, Operator
@@ -191,6 +191,8 @@ def _assert_same_payload(a, b):
             _assert_same_payload(a[k], b[k])
     elif isinstance(a, pd.DataFrame):
         pd.testing.assert_frame_equal(a, b)
+    elif isinstance(a, Block):
+        pd.testing.assert_frame_equal(a.frame(), b.frame())
     elif isinstance(a, pd.Series):
         pd.testing.assert_series_equal(a, b)
     else:

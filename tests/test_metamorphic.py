@@ -6,7 +6,9 @@ At the default chunk limit, {dynamic tiling} × {graph + operator fusion}
 × {column pruning} each run on and off. At ``chunk_limit=64_000`` (with
 dynamic tiling, fusion and pruning on) inputs split into many chunks,
 so the combine trees, shuffles and merge choices all see several
-levels. Each run has a deadline, so a hang fails its case instead of
+levels. ``static64`` is static tiling with every groupby and merge a
+64-bucket shuffle, so each reducer joins or aggregates many mappers'
+blocks. Each run has a deadline, so a hang fails its case instead of
 stalling the suite."""
 import itertools
 
@@ -34,6 +36,8 @@ CONFIGS = {
     for dyn, fuse, prune in itertools.product((True, False), repeat=3)
 }
 CONFIGS["chunk64k"] = dict(chunk_limit=64_000)
+CONFIGS["static64"] = dict(dynamic_tiling=False, static_reduce="shuffle",
+                           static_shuffle_partitions=64)
 
 
 @pytest.fixture(scope="module")

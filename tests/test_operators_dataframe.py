@@ -64,7 +64,7 @@ class TestHashPartition:
         parts = hash_partition(df, ["k"], 8)
         seen = {}
         for r, p in parts.items():
-            for k in p["k"].unique():
+            for k in p.frame()["k"].unique():
                 assert seen.setdefault(k, r) == r
 
     def test_deterministic(self):
@@ -72,7 +72,7 @@ class TestHashPartition:
         a = hash_partition(df, ["k"], 4)
         b = hash_partition(df, ["k"], 4)
         for r in a:
-            pd.testing.assert_frame_equal(a[r], b[r])
+            pd.testing.assert_frame_equal(a[r].frame(), b[r].frame())
 
     def test_multi_key(self):
         df = frame(300).assign(k2=np.arange(300) % 3)
@@ -104,7 +104,7 @@ class TestHashPartition:
             assert type(back) is type(parts) and set(back) == set(parts)
             pd.testing.assert_frame_equal(back.empty, empty)
             for r in parts:
-                pd.testing.assert_frame_equal(back[r], parts[r])
+                pd.testing.assert_frame_equal(back[r].frame(), parts[r].frame())
 
     def test_empty_input_stores_no_bucket(self):
         parts = hash_partition(frame(10).iloc[:0], ["k"], 4)
@@ -138,7 +138,7 @@ class TestSplitByCodes:
     def _assert_same(got, want):
         assert list(got) == sorted(want)
         for r, part in want.items():
-            pd.testing.assert_frame_equal(got[r], part)
+            pd.testing.assert_frame_equal(got[r].frame(), part)
 
     def test_matches_mask_split(self):
         df = self._tied()
@@ -276,6 +276,6 @@ class TestCompositeHotKeys:
         tuple_mask = df[keys].astype(object).apply(tuple, axis=1).isin(hot)
         cold = hash_partition(df[~tuple_mask], keys, 4, total=6)
         for r in range(4):
-            pd.testing.assert_frame_equal(out[r], cold[r])
-        hot_rows = pd.concat([out[4], out[5]]).index
+            pd.testing.assert_frame_equal(out[r].frame(), cold[r].frame())
+        hot_rows = out[4].index.append(out[5].index)
         assert sorted(hot_rows) == sorted(df.index[tuple_mask])

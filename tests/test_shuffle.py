@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.chunk import ChunkMeta, ChunkNode
+from repro.core.chunk import Block, ChunkMeta, ChunkNode
 from repro.core.config import EngineConfig
 from repro.core.executor import LocalExecutor
 from repro.core.graph import build_dag
@@ -36,7 +36,7 @@ def split_by_k(df):
 
 
 def concat(blocks):
-    return pd.concat(blocks)
+    return pd.concat([b.frame() if isinstance(b, Block) else b for b in blocks])
 
 
 class TestShuffleBuilder:

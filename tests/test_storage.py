@@ -131,6 +131,46 @@ class TestSpill:
         assert s.level_of("a") is StorageLevel.MEMORY
         assert s.level_of("b") is StorageLevel.MEMORY
 
+    def test_spill_order_is_global_lru_of_the_band(self):
+        """Puts, reads, reloads and deletes over two bands spill the same
+        entries, in the same order, as a walk of one global LRU list
+        restricted to the band over budget."""
+        g = np.random.default_rng(1)
+        s = StorageService(band_memory_limit=300)
+        spilled = []
+        spill_entry = s._spill_entry
+        s._spill_entry = lambda k, e: (spilled.append(k), spill_entry(k, e))
+        order, band_of, in_memory, want = [], {}, set(), []
+
+        def rebalance(band):
+            while sum(band_of[k] == band for k in in_memory) * 100 > 300:
+                key = next(k for k in order if band_of[k] == band and k in in_memory)
+                in_memory.discard(key)
+                want.append(key)
+
+        for step in range(400):
+            band = f"b{g.integers(0, 2)}"
+            keys = [k for k in order if band_of[k] == band]
+            op = g.integers(0, 4) if keys else 0
+            key = f"k{step}" if op == 0 else keys[g.integers(0, len(keys))]
+            if op == 3:
+                s.delete(key)
+                order.remove(key)
+                in_memory.discard(key)
+                continue
+            if op == 0:
+                s.put(key, step, band=band, nbytes=100)
+                band_of[key] = band
+            else:
+                assert s.get(key) == int(key[1:])
+                order.remove(key)
+            order.append(key)
+            in_memory.add(key)
+            rebalance(band)
+            assert spilled == want
+        assert len(want) > 50 and s.spill_count == len(want)
+        assert {k for k in order if s.level_of(k) is StorageLevel.MEMORY} == in_memory
+
     def test_peak_recorded(self):
         s = StorageService(band_memory_limit=1 << 30)
         s.put("k", frame(1000), band="b0")

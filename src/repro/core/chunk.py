@@ -131,12 +131,12 @@ def frame_of(columns: pd.Index, index: pd.Index, arrays: list) -> pd.DataFrame:
 
 class Buckets(dict):
     """A shuffle mapper's output: reducer id → :class:`Block`, holding
-    only the non-empty blocks. ``empty`` is a zero-row frame with the
+    only the non-empty blocks. ``empty`` is a zero-row block with the
     mapper input's columns and dtypes; it stands in for every absent
     bucket, so a reducer still sees both sides' column structure. The
     executor records a stored mapper as a ``Buckets`` of storage keys."""
 
-    def __init__(self, blocks: dict, empty: Any) -> None:
+    def __init__(self, blocks: dict, empty: Block) -> None:
         super().__init__(blocks)
         self.empty = empty
 

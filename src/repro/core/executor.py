@@ -107,8 +107,9 @@ class BaseExecutor:
     ``refs`` is the one table of chunk lifetimes: ``key → count`` of
     live references. A reference is a pending consumer subtask, the
     caller's hold on an ``execute`` target, or a probe hold of the tiler
-    (handed to the next ``execute`` as ``release``). A subtask stores an
-    output only while its count is above 0; when a count drops to 0 the
+    on a probe target or on a chunk a probe stored (handed to the final
+    ``execute`` as ``release``). A subtask stores an output only while
+    its count is above 0; when a count drops to 0 the
     key leaves the table and its payload is deleted, unless the engine
     retains intermediates (``free_intermediates=False``).
 
@@ -116,8 +117,8 @@ class BaseExecutor:
     :class:`Buckets` mapping each reducer id the mapper had rows for to
     that bucket's storage entry (``key::b<r>``, holding the bucket's
     :class:`~.chunk.Block` of column arrays), with the mapper's zero-row
-    ``empty`` frame standing in for every other bucket, so a reducer
-    gets one block or zero-row frame per mapper. Nothing is stored under
+    ``empty`` block standing in for every other bucket, so a reducer
+    gets one block per mapper. Nothing is stored under
     the mapper's own key, so a reducer reads, and the spill layer moves,
     only its own buckets: the paper's storage-service
     shuffle. Storing the whole dict instead makes every reducer page in
@@ -136,13 +137,17 @@ class BaseExecutor:
 
     # -- public --------------------------------------------------------
     def execute(self, target_chunks: list[ChunkNode],
-                release: Iterable[str] = ()) -> None:
+                release: Iterable[str] = (),
+                keep: Optional[list[str]] = None) -> None:
         """Execute every not-yet-stored chunk needed by ``target_chunks``
         and record their observed metadata on their nodes. The caller gets
         one reference on each target and drops it with :meth:`decref`.
         The references in ``release`` are dropped once this call has
-        counted its own consumers. On a raise, every reference this call
-        took or was handed is dropped."""
+        counted its own consumers. With ``keep``, the caller also gets one
+        reference on every chunk this call stores, taken as its wave
+        stores it (before its consumers drop theirs), and the key is
+        appended to ``keep``. On a raise, every reference this call took
+        or was handed is dropped, except those already in ``keep``."""
         own = [c.key for c in target_chunks]
         release = list(release)
         self.incref(own)
@@ -156,7 +161,8 @@ class BaseExecutor:
                 self.incref(keys)
             self.decref(release)
             release = []
-            self._run_waves(sub_dag, held, {c.key: c for c in pending.nodes()})
+            self._run_waves(sub_dag, held, {c.key: c for c in pending.nodes()},
+                            keep)
         except BaseException:
             self.decref(release + own)
             raise
@@ -196,10 +202,12 @@ class BaseExecutor:
         return key in self.buckets or self.storage.has(key)
 
     def _run_waves(self, sub_dag: DAG[Subtask], held: dict[Subtask, list[str]],
-                   nodes: dict[str, ChunkNode]) -> None:
+                   nodes: dict[str, ChunkNode],
+                   keep: Optional[list[str]]) -> None:
         """Run every subtask in ``held``, a wave of ready ones at a time;
         each drops its hold on its inputs once its wave has run. ``nodes``
-        are the pending graph's chunk nodes by key."""
+        are the pending graph's chunk nodes by key; ``keep`` gets a
+        reference on each stored output (see :meth:`execute`)."""
         assignment = self.scheduler.assign(
             sub_dag,
             # a stored input sits on the band its producer stored it to
@@ -222,6 +230,9 @@ class BaseExecutor:
             self._run_wave(wave, nodes)
             self.waves += 1
             for s in wave:
+                if keep is not None:
+                    self.incref(s.store_keys)
+                    keep.extend(s.store_keys)
                 self.decref(held.pop(s))
 
     def _delete_chunk(self, k: str) -> None:

@@ -63,13 +63,6 @@ def split_pandas(pdf: pd.DataFrame,
     return [pdf.iloc[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], total
 
 
-def _empty_like(pdf):
-    """A zero-row copy of ``pdf`` with its columns and dtypes. Built by
-    ``take``, so it owns fresh arrays: a zero-row ``iloc`` slice would
-    keep the whole input alive through its base arrays."""
-    return pdf.iloc[np.empty(0, dtype=np.intp)]
-
-
 def _split_by_codes(pdf, codes: np.ndarray, total: int,
                     rows: Optional[np.ndarray] = None) -> Buckets:
     """Split ``pdf`` by per-row bucket ``codes`` in ``range(total)`` into
@@ -82,11 +75,15 @@ def _split_by_codes(pdf, codes: np.ndarray, total: int,
     bounds = np.searchsorted(codes[order], np.arange(total + 1))
     full = np.flatnonzero(np.diff(bounds)).tolist()
     block = Block.of(pdf)
+    # the zero-row schema owns fresh arrays: a zero-row slice would keep
+    # the whole input alive through its base arrays
+    empty = Block(block.columns, block.index[:0].copy(deep=True),
+                  [a[:0].copy() for a in block.arrays])
     if rows is None and len(full) <= 1:  # no rows, or all in one bucket
-        return Buckets({r: block for r in full}, _empty_like(pdf))
+        return Buckets({r: block for r in full}, empty)
     block = block.take(order if rows is None else rows[order])
     return Buckets({r: block.slice(bounds[r], bounds[r + 1]) for r in full},
-                   _empty_like(pdf))
+                   empty)
 
 
 def _hash_codes(pdf: pd.DataFrame, on: list[str], n: int) -> np.ndarray:
@@ -646,14 +643,18 @@ class _MergeKw:
 
 
 def _merge_broadcast(big, *small_parts, kw: _MergeKw, small_side: str):
-    """One big-side chunk merged against the whole (concatenated) small
-    side (``small_side`` is "left" or "right") — chosen when dynamic
-    tiling observes a tiny build side (the TPCx-AI UC10 imbalance
-    case)."""
-    small = _concat(*small_parts)
+    """One big-side chunk merged against the whole small side
+    (``small_side`` is "left" or "right"), chosen when dynamic tiling
+    observes a tiny build side (the TPCx-AI UC10 imbalance case). The
+    small parts become one block, and a unique-keyed small side builds
+    the hash join (:func:`_hash_join`); every other input goes through
+    pandas' merge."""
+    small = _concat_blocks(list(small_parts))
     if small_side == "right":
-        return big.merge(small, **kw.pandas_kwargs())
-    return small.merge(big, **kw.pandas_kwargs())
+        out = _hash_join(Block.of(big), small, kw)
+        return big.merge(small.frame(), **kw.pandas_kwargs()) if out is None else out
+    out = _hash_join(small, Block.of(big), kw, build="left")
+    return small.frame().merge(big, **kw.pandas_kwargs()) if out is None else out
 
 
 def _merge_split(df, keys: list[str], n: int,
@@ -688,17 +689,25 @@ def _key_positions(columns: pd.Index, keys: list[str]) -> Optional[list[int]]:
     return pos if all(isinstance(p, int) for p in pos) else None
 
 
-def _hash_join(left: Block, right: Block, kw: _MergeKw) -> Optional[pd.DataFrame]:
-    """``left.merge(right)`` for an ``inner`` or ``left`` join whose build
-    (right) side has unique keys: index the right keys once, look every
-    left key up in it, and take the matching rows. The result equals
-    pandas' merge: left columns then right ones (a right key named like
-    its left key is dropped), left row order, missing right values
-    upcast as pandas upcasts them, and a ``RangeIndex``. ``None`` where
-    pandas' own merge must decide: another ``how``, repeated build keys,
-    names that need suffixes, or key dtypes that differ other than in
-    the width of a NumPy integer."""
-    if kw.how not in ("inner", "left"):
+def _key_index(arrays: list) -> pd.Index:
+    """The join keys of a side, one key array per column, as an index."""
+    return pd.Index(arrays[0]) if len(arrays) == 1 else pd.MultiIndex.from_arrays(arrays)
+
+
+def _hash_join(left: Block, right: Block, kw: _MergeKw,
+               build: str = "right") -> Optional[pd.DataFrame]:
+    """``left.merge(right)`` for a join whose ``build`` side ("right" or
+    "left") has unique keys: index the build keys once, look every key
+    of the other side up in it, and take the matching rows. A right
+    build serves ``inner`` and ``left`` joins, in left row order; a left
+    build serves ``inner`` joins, whose rows pandas orders by left row,
+    then by right row. The result equals pandas' merge: left columns
+    then right ones (a right key named like its left key is dropped),
+    missing right values upcast as pandas upcasts them, and a
+    ``RangeIndex``. ``None`` where pandas' own merge must decide: another
+    ``how``, repeated build keys, names that need suffixes, or key
+    dtypes that differ other than in the width of a NumPy integer."""
+    if kw.how not in (("inner", "left") if build == "right" else ("inner",)):
         return None
     lkeys, rkeys = kw.left_keys(), kw.right_keys()
     lpos = _key_positions(left.columns, lkeys)
@@ -714,23 +723,26 @@ def _hash_join(left: Block, right: Block, kw: _MergeKw) -> Optional[pd.DataFrame
     keep = [j for j, c in enumerate(right.columns) if c not in shared]
     if any(right.columns[j] in left.columns for j in keep):
         return None
-    if len(rpos) == 1:
-        build = pd.Index(right.arrays[rpos[0]])
-        probe = left.arrays[lpos[0]]
-    else:
-        build = pd.MultiIndex.from_arrays([right.arrays[j] for j in rpos])
-        probe = pd.MultiIndex.from_arrays([left.arrays[i] for i in lpos])
-    if not build.is_unique:
+    lindex = _key_index([left.arrays[i] for i in lpos])
+    rindex = _key_index([right.arrays[j] for j in rpos])
+    index, probe = (rindex, lindex) if build == "right" else (lindex, rindex)
+    if not index.is_unique:
         return None
-    found = build.get_indexer(probe)
-    if kw.how == "inner":
-        rows = np.flatnonzero(found >= 0)
-        larrays = [a.take(rows) for a in left.arrays]
-        rarrays = [right.arrays[j].take(found[rows]) for j in keep]
-    else:
+    found = index.get_indexer(probe)
+    if kw.how == "left":
         larrays = [a.copy() for a in left.arrays]
         rarrays = [pd.api.extensions.take(right.arrays[j], found, allow_fill=True)
                    for j in keep]
+    else:
+        if build == "right":
+            lrows = np.flatnonzero(found >= 0)
+            rrows = found[lrows]
+        else:
+            rrows = np.flatnonzero(found >= 0)
+            rrows = rrows[np.argsort(found[rrows], kind="stable")]
+            lrows = found[rrows]
+        larrays = [a.take(lrows) for a in left.arrays]
+        rarrays = [right.arrays[j].take(rrows) for j in keep]
     columns = left.columns.append(right.columns[keep])
     return frame_of(columns, pd.RangeIndex(len(larrays[0])), larrays + rarrays)
 

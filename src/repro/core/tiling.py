@@ -44,9 +44,11 @@ class GraphTiler:
         nodes stay reachable from the targets' chunks.
 
         Returns the probe holds: one executor reference per executed
-        probe target, which keeps its payload for the resumed generators
-        and the final graph. The caller hands them to the final
-        ``execute`` as ``release``; on a raise they are dropped here."""
+        probe target and one per chunk a probe stored, taken when it was
+        stored. They keep those payloads for the resumed generators and
+        the final graph, so the query runs no stored chunk twice. The
+        caller hands them to the final ``execute`` as ``release``; on a
+        raise they are dropped here."""
         holds: list[str] = []
         try:
             self._tile(list(targets), holds)
@@ -62,9 +64,10 @@ class GraphTiler:
 
         def execute_probe(chunks: list[ChunkNode]) -> None:
             # the switch to execution (Fig. 5a step 2): run the partial
-            # graph; its payloads stay held for the resumed generator
+            # graph; what it stores stays held for the resumed generator
+            # and the final graph
             self.yields += 1
-            self.executor.execute(chunks)
+            self.executor.execute(chunks, (), holds)  # keep=holds
             holds.extend(c.key for c in chunks)
 
         tiled: list[Tileable] = []

@@ -313,3 +313,164 @@ class TestDecisionLifetime:
         assert sizes == [sizes[0]] * 20
         assert all(ref() is None for ref in graphs)
         sess.close()
+
+
+def _record_runs(sess, monkeypatch):
+    """Per ``sess.run`` call, the ``(chunk keys run, keys stored)`` of
+    each subtask, in the order the subtasks ran."""
+    runs = []
+    run, run_wave = sess.run, sess.executor._run_wave
+
+    def recording_run(*tileables):
+        runs.append([])
+        return run(*tileables)
+
+    def recording_wave(subs, nodes):
+        run_wave(subs, nodes)
+        runs[-1].extend(([c.key for c in s.chunks], list(s.store_keys))
+                        for s in subs)
+
+    monkeypatch.setattr(sess, "run", recording_run)
+    monkeypatch.setattr(sess.executor, "_run_wave", recording_wave)
+    return runs
+
+
+class TestProbeHolds:
+    """What a probe stored stays stored until the query's final run, so a
+    query runs no stored chunk twice; and the holds go with the query."""
+
+    def test_no_stored_chunk_runs_twice(self, monkeypatch):
+        from repro.engines import XorbitsEngine
+        from repro.synth_data import tpch_tables_pdf
+        from repro.workloads.tpch import QUERIES
+
+        sess = XSession(XorbitsEngine(chunk_limit=400_000).config())
+        frames = {n: xpd.from_pandas(p, sess) for n, p in tpch_tables_pdf(0.01).items()}
+        runs = _record_runs(sess, monkeypatch)
+        for q in sorted(QUERIES):
+            out = QUERIES[q].fn(frames)
+            if hasattr(out, "execute"):
+                out.execute()
+        assert len(runs) >= 22
+        reruns = 0
+        for subtasks in runs:
+            ran, stored, again = set(), set(), set()
+            for keys, st in subtasks:
+                assert not stored & set(keys), "a stored chunk ran again"
+                again.update(k for k in keys if k in ran)
+                reruns += sum(k in ran for k in keys)
+                ran.update(keys)
+                stored.update(st)
+            # what does run twice is a fused interior, stored nowhere
+            assert not stored & again
+        # without the probe holds this pass re-ran 310 chunk kernels, 58
+        # of them stored earlier in the same run; the fused interiors
+        # that remain are 23 (q21 18, q17 4, q07 1)
+        assert reruns <= 30
+        sess.close()
+
+    JOIN_CFG = dict(chunk_limit=20_000, broadcast_threshold=200_000, n_workers=2)
+
+    @staticmethod
+    def _frames():
+        g = np.random.default_rng(1)
+        return (pd.DataFrame({"k": g.integers(0, 6000, 20_000), "v": g.random(20_000)}),
+                pd.DataFrame({"k": np.arange(6000), "w": g.random(6000)}))
+
+    @staticmethod
+    def _query(sess):
+        """A broadcast merge of two filtered sides, then a range sort: the
+        sort's probe stores the small-side chunks that the merge's probe
+        did not run."""
+        big, small = TestProbeHolds._frames()
+        big, small = xpd.from_pandas(big, sess), xpd.from_pandas(small, sess)
+        return (big[big["v"] > 0.1].merge(small[small["w"] > 0.05], on="k")
+                .sort_values("v"))
+
+    @staticmethod
+    def _kept(sess, monkeypatch):
+        """Each probe's targets and the keys its ``execute`` kept."""
+        probes = []
+        execute = sess.executor.execute
+
+        def recording_execute(chunks, release=(), keep=None):
+            n = len(keep or ())
+            try:
+                execute(chunks, release, keep)
+            finally:
+                if keep is not None:
+                    probes.append(({c.key for c in chunks}, keep[n:]))
+
+        monkeypatch.setattr(sess.executor, "execute", recording_execute)
+        return probes
+
+    @staticmethod
+    def _assert_empty(sess):
+        assert sess.executor.refs == {}
+        assert sess.storage.keys() == [] and sess.executor.buckets == {}
+        assert all(u.resident == 0 and u.transient == 0
+                   for u in sess.storage.bands.values())
+
+    @staticmethod
+    def _assert_held_more_than_targets(probes):
+        assert any(set(kept) - targets for targets, kept in probes)
+
+    def test_holds_freed_with_the_handle(self, monkeypatch):
+        import gc
+
+        sess = session(**self.JOIN_CFG)
+        probes = self._kept(sess, monkeypatch)
+        out = self._query(sess)
+        got = out.to_pandas()
+        self._assert_held_more_than_targets(probes)
+        assert "broadcast" in decisions(out)
+        assert set(sess.executor.refs) == {c.key for c in out._t.chunks}
+        del out
+        gc.collect()
+        self._assert_empty(sess)
+        big, small = self._frames()
+        want = (big[big["v"] > 0.1].merge(small[small["w"] > 0.05], on="k")
+                .sort_values("v", kind="mergesort"))
+        pd.testing.assert_frame_equal(got.reset_index(drop=True),
+                                      want.reset_index(drop=True))
+        sess.close()
+
+    def test_holds_dropped_when_tiling_raises(self, monkeypatch):
+        from repro.core.operators.dataframe import SortValues
+
+        sess = session(**self.JOIN_CFG)
+        probes = self._kept(sess, monkeypatch)
+
+        def failing_bounds(*args):
+            raise RuntimeError("tiling failed")
+
+        monkeypatch.setattr(SortValues, "_sample_bounds", failing_bounds)
+        out = self._query(sess)
+        with pytest.raises(RuntimeError, match="tiling failed"):
+            out.execute()
+        self._assert_held_more_than_targets(probes)
+        del out
+        self._assert_empty(sess)
+        sess.close()
+
+    def test_holds_dropped_on_oom_in_final_execute(self, monkeypatch):
+        from repro.storage.service import SimulatedOOM
+
+        sess = session(**self.JOIN_CFG, allow_spill=False)
+        probes = self._kept(sess, monkeypatch)
+        tile = sess.tiler.tile
+
+        def tile_then_shrink(targets):
+            holds = tile(targets)
+            # the final execute cannot store or run anything more
+            sess.storage.band_memory_limit = 1
+            return holds
+
+        monkeypatch.setattr(sess.tiler, "tile", tile_then_shrink)
+        out = self._query(sess)
+        with pytest.raises(SimulatedOOM):
+            out.execute()
+        self._assert_held_more_than_targets(probes)
+        del out
+        self._assert_empty(sess)
+        sess.close()

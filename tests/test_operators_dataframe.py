@@ -89,7 +89,7 @@ class TestHashPartition:
         assert set(parts) <= {0, 1}
         assert all(len(p) for p in parts.values())
         assert sum(len(p) for p in parts.values()) == len(df)
-        empty = parts.empty
+        empty = parts.empty.frame()
         assert len(empty) == 0
         assert list(empty.columns) == list(df.columns)
         pd.testing.assert_series_equal(empty.dtypes, df.dtypes)
@@ -102,7 +102,7 @@ class TestHashPartition:
                              (cloudpickle.dumps, cloudpickle.loads)):
             back = loads(dumps(parts))
             assert type(back) is type(parts) and set(back) == set(parts)
-            pd.testing.assert_frame_equal(back.empty, empty)
+            pd.testing.assert_frame_equal(back.empty.frame(), empty)
             for r in parts:
                 pd.testing.assert_frame_equal(back[r].frame(), parts[r].frame())
 
@@ -155,7 +155,7 @@ class TestSplitByCodes:
         got = _range_split(df, ["key"], bounds, ascending)
         self._assert_same(got, _mask_split(df, codes, len(bounds) + 1))
         assert len(got) < len(bounds) + 1
-        pd.testing.assert_series_equal(got.empty.dtypes, df.dtypes)
+        pd.testing.assert_series_equal(got.empty.frame().dtypes, df.dtypes)
 
 
 class TestNormalizeAggs:

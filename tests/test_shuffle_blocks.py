@@ -16,8 +16,8 @@ import pytest
 from repro.core.chunk import Block, payload_nbytes
 from repro.core.operators.dataframe import (_MergeKw, _concat_blocks,
                                             _concat_parts, _hash_join,
-                                            _merge_reduce, _split_by_codes,
-                                            hash_partition)
+                                            _merge_broadcast, _merge_reduce,
+                                            _split_by_codes, hash_partition)
 
 
 def typed_frame(n=60, seed=0, index="range"):
@@ -80,7 +80,7 @@ class TestBlockRoundTrip:
             assert sorted(back) == sorted(parts)
             for r in parts:
                 pd.testing.assert_frame_equal(back[r].frame(), parts[r].frame())
-            pd.testing.assert_frame_equal(back.empty, parts.empty)
+            pd.testing.assert_frame_equal(back.empty.frame(), parts.empty.frame())
 
     def test_differing_dtypes_concat_as_pandas_does(self):
         a = pd.DataFrame({"k": [1, 2], "v": [1, 2]})
@@ -231,3 +231,72 @@ class TestReducerJoin:
         parts = [Block.of(LEFT.iloc[4:]), LEFT.iloc[:0], Block.of(LEFT.iloc[:4])]
         got = _concat_blocks(parts).frame()
         pd.testing.assert_frame_equal(got, pd.concat([LEFT.iloc[4:], LEFT.iloc[:4]]))
+
+
+def _broadcast_sides(variant):
+    """A big side with a non-range index and a small side whose keys are
+    unique unless ``variant`` says otherwise."""
+    g = np.random.default_rng(7)
+    big = pd.DataFrame({"k": g.integers(0, 14, 50), "j": g.integers(0, 2, 50),
+                        "v": g.random(50)}, index=g.permutation(50) * 3 + 5)
+    small = pd.DataFrame({"k": np.arange(12)[::-1], "w": g.integers(0, 99, 12),
+                          "s": [f"s{i}" for i in range(12)]})
+    on = "k"
+    if variant != "multi-key":
+        big = big.drop(columns="j")
+    if variant == "repeated":
+        small = pd.concat([small, small.iloc[3:6]])
+    elif variant == "multi-key":
+        small = small.assign(j=np.arange(12) % 2)
+        small = pd.concat([small, small.assign(j=1 - small["j"]).iloc[:5]])
+        on = ["k", "j"]
+    elif variant == "int32-big":
+        big = big.astype({"k": "int32"})
+    elif variant == "int32-small":
+        small = small.astype({"k": "int32"})
+    elif variant == "nan-keys":
+        big["k"] = big["k"].where(big["k"] % 5 != 0, np.nan)
+        small["k"] = small["k"].astype(float).where(small["k"] != 10, np.nan)
+    elif variant == "clashing":
+        small["v"] = -small["w"]
+    elif variant == "empty-big":
+        big = big.iloc[:0]
+    elif variant == "empty-small":
+        small = small.iloc[:0]
+    return big, small, on
+
+
+_HASHED = ["unique", "multi-key", "left_on-right_on", "int32-big", "int32-small",
+           "nan-keys", "empty-big", "empty-small"]
+_FALLBACK = ["repeated", "clashing"]
+_BROADCASTS = ([("right", how, v) for how in ("inner", "left") for v in _HASHED + _FALLBACK]
+               + [("left", "inner", v) for v in _HASHED + _FALLBACK]
+               + [("left", "right", v) for v in ("unique", "multi-key")])
+
+
+class TestBroadcastJoin:
+    """A broadcast merge chunk equals ``DataFrame.merge`` of its big chunk
+    and the concatenated small side, exactly, whichever side is small.
+    A unique-keyed small side takes the hash join; a right join with a
+    small left side, repeated small keys and clashing names take pandas'
+    merge."""
+
+    @pytest.mark.parametrize("small_side,how,variant", _BROADCASTS)
+    def test_equals_pandas_merge(self, small_side, how, variant):
+        big, small, on = _broadcast_sides(variant)
+        kwargs = dict(on=on, how=how)
+        if variant == "left_on-right_on":  # the right side's key is "rk"
+            if small_side == "right":
+                small = small.rename(columns={"k": "rk"})
+            else:
+                big = big.rename(columns={"k": "rk"})
+            kwargs = dict(left_on="k", right_on="rk", how=how)
+        kw = _MergeKw(**kwargs)
+        left, right = (big, small) if small_side == "right" else (small, big)
+        want = left.merge(right, **kwargs)
+        # the small side arrives as several chunks, one of them empty
+        parts = [small.iloc[:4], small.iloc[4:4], small.iloc[4:]]
+        got = _merge_broadcast(big, *parts, kw=kw, small_side=small_side)
+        pd.testing.assert_frame_equal(got, want)
+        hashed = _hash_join(Block.of(left), Block.of(right), kw, build=small_side)
+        assert (hashed is not None) == (variant in _HASHED and how != "right")
